@@ -134,9 +134,10 @@ def _checkpoint_hash(cfg: ExperimentConfig, train_cfg: TrainConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _model_predict(params: ModelParams, x: np.ndarray) -> int:
-    k = int(np.argmax(forward(params, x).logits))
-    return UNKNOWN if k == params.num_known else k
+def _argmax_labels(params: ModelParams, x: np.ndarray) -> list[int]:
+    """The classifier's own label per row of x; the last head row is UNKNOWN."""
+    k = np.argmax(forward(params, x).logits, axis=1)
+    return np.where(k == params.num_known, UNKNOWN, k).tolist()
 
 
 def _train_cached(cfg: ExperimentConfig, arm: str, train_set, outdir: str):
@@ -144,7 +145,7 @@ def _train_cached(cfg: ExperimentConfig, arm: str, train_set, outdir: str):
     key = _checkpoint_hash(cfg, train_cfg)
     ckpt = os.path.join(outdir, f"model_{key}.ckpt")
     bank_path = os.path.join(outdir, f"bank_{key}.csv")
-    if os.path.exists(ckpt):
+    if all(os.path.exists(p) for p in (ckpt, bank_path, bank_path + ".proto.csv")):
         return load_checkpoint(ckpt), load_bank(bank_path)
     params = init_model(
         cfg.blob.dim, cfg.model.embed_dim, cfg.blob.num_known,
@@ -205,7 +206,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
                 if grid_state is None:
                     grid_state = state
             else:
-                preds = [_model_predict(params, s.features) for s in stream]
+                preds = _argmax_labels(params, np.stack([s.features for s in stream]))
                 for i, (p, t) in enumerate(zip(preds, truths)):
                     records.append({"step": i, "route": "model", "pred": p, "true": t})
             report = evaluate(preds, truths, num_known)
@@ -216,9 +217,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
         if cfg.blob.dim == 2:
             bbox = _grid_bbox(train_set + shifted_test, cfg.grid_margin)
             if arm == "art" and grid_state is not None:
-                predict = lambda x: predict_frozen(grid_state, x)  # noqa: E731
+                predict = lambda xs: [predict_frozen(grid_state, x) for x in xs]  # noqa: E731
             else:
-                predict = lambda x: _model_predict(params, x)  # noqa: E731
+                predict = lambda xs: _argmax_labels(params, xs)  # noqa: E731
             grid = decision_grid(predict, bbox, cfg.grid_resolution)
             save_grid(grid, os.path.join(outdir, f"grid_{arm}.csv"))
     return reports
@@ -282,7 +283,7 @@ def _cmd_eval(args) -> int:
 def _cmd_grid(args) -> int:
     params = load_checkpoint(args.checkpoint)
     bbox = ((args.xmin, args.xmax), (args.ymin, args.ymax))
-    grid = decision_grid(lambda x: _model_predict(params, x), bbox, args.resolution)
+    grid = decision_grid(lambda xs: _argmax_labels(params, xs), bbox, args.resolution)
     save_grid(grid, args.grid_out)
     print(f"wrote {len(grid)} grid points to {args.grid_out}")
     return 0

@@ -59,17 +59,15 @@ def query(index: KnnIndex, z: np.ndarray) -> Neighborhood:
     else:
         cand_ids, cand_sims = [], []
         for start in range(0, len(emb), index.block_size):
-            block = emb[start : start + index.block_size]
-            bsims = block @ z
-            bids = np.arange(start, start + len(block))
-            take = min(index.k, len(block))
-            part = np.argpartition(-bsims, take - 1)[:take]
-            cand_ids.append(bids[part])
-            cand_sims.append(bsims[part])
-        ids = np.concatenate(cand_ids)
-        sims = np.concatenate(cand_sims)
-        order = np.argsort(ids)  # restore bank order so the tie-break matches
-        ids, sims = _top_k(sims[order], ids[order], index.k)
+            bsims = emb[start : start + index.block_size] @ z
+            take = min(index.k, len(bsims))
+            # keep every entry tied with the block's k-th best, so the merge
+            # sees whole tie groups; candidates stay in ascending bank order
+            kth = -np.partition(-bsims, take - 1)[take - 1]
+            keep = np.flatnonzero(bsims >= kth)
+            cand_ids.append(start + keep)
+            cand_sims.append(bsims[keep])
+        ids, sims = _top_k(np.concatenate(cand_sims), np.concatenate(cand_ids), index.k)
     mean = emb[ids].mean(axis=0)
     if np.linalg.norm(mean) == 0.0:
         raise ValueError("neighborhood centroid undefined: neighbors cancel out")

@@ -1,7 +1,9 @@
 """Training objectives over the (num_known + 1)-way logits.
 
-Every loss returns (value, gradient w.r.t. logits). The unknown class sits
-at the last logit index. Ground-truth labels are always known indices.
+Every loss takes (n, num_known + 1) logits with (n,) labels and returns
+per-row values and the gradient w.r.t. the logits. A 1-D call is the
+one-row case and returns a float value. The unknown class sits at the last
+logit index. Ground-truth labels are always known indices.
 """
 from __future__ import annotations
 
@@ -26,71 +28,79 @@ class LossConfig:
             raise ValueError("lam must be non-negative")
 
 
-def _check_label(logits: np.ndarray, y: int) -> None:
-    num_known = logits.shape[0] - 1
-    if not 0 <= y < num_known:
-        raise ValueError(f"label {y} outside known range [0, {num_known})")
+def _rows(logits, y) -> tuple[bool, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Whether the call is 1-D, the logits as an (n, K+1) matrix, and the
+    index of each row's ground-truth logit. Labels must be known indices."""
+    single = np.ndim(logits) == 1
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y))
+    num_known = logits.shape[1] - 1
+    if y.shape != logits.shape[:1]:
+        raise ValueError(f"{y.size} labels for {logits.shape[0]} logit rows")
+    if np.any((y < 0) | (y >= num_known)):
+        raise ValueError(f"label outside known range [0, {num_known}): {y}")
+    return single, logits, (np.arange(len(y)), y)
 
 
-def ce_loss(logits: np.ndarray, y: int) -> tuple[float, np.ndarray]:
+def _result(single: bool, value: np.ndarray, grad: np.ndarray):
+    """A 1-D call returns a float value and a 1-D gradient."""
+    return (float(value[0]), grad[0]) if single else (value, grad)
+
+
+def ce_loss(logits: np.ndarray, y: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Standard cross-entropy over all num_known + 1 classes."""
-    logits = np.asarray(logits, dtype=np.float64)
-    _check_label(logits, y)
-    value = logsumexp(logits) - logits[y]
+    single, logits, gt = _rows(logits, y)
+    value = logsumexp(logits) - logits[gt]
     grad = softmax(logits)
-    grad[y] -= 1.0
-    return value, grad
+    grad[gt] -= 1.0
+    return _result(single, value, grad)
 
 
-def ua_loss(logits: np.ndarray, y: int) -> tuple[float, np.ndarray]:
+def ua_loss(logits: np.ndarray, y: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Unknown-activation loss: negative log-likelihood of the unknown
     logit against every logit except the ground truth. The ground-truth
-    logit does not appear, so its gradient is exactly zero; the unknown
+    logit is masked with -inf, so its gradient is exactly zero; the unknown
     gradient is always negative, pulling that logit up under descent."""
-    logits = np.asarray(logits, dtype=np.float64)
-    _check_label(logits, y)
-    u = logits.shape[0] - 1
-    mask = np.ones(logits.shape[0], dtype=bool)
-    mask[y] = False
-    value = logsumexp(logits[mask]) - logits[u]
-    grad = np.zeros_like(logits)
-    restricted = softmax(logits[mask])
-    grad[mask] = restricted
-    grad[u] -= 1.0
-    return value, grad
+    single, logits, gt = _rows(logits, y)
+    masked = logits.copy()
+    masked[gt] = -np.inf
+    value = logsumexp(masked) - logits[:, -1]
+    grad = softmax(masked)
+    grad[:, -1] -= 1.0
+    return _result(single, value, grad)
 
 
-def sce_loss(logits: np.ndarray, y: int, config: LossConfig) -> tuple[float, np.ndarray]:
+def sce_loss(
+    logits: np.ndarray, y: int | np.ndarray, config: LossConfig
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Temperature-softened cross-entropy plus an L2 penalty on the logit
     vector. Penalty subgradient at the origin is taken as zero."""
     config.validate()
-    logits = np.asarray(logits, dtype=np.float64)
-    _check_label(logits, y)
+    single, logits, gt = _rows(logits, y)
     scaled = logits / config.tau
-    value = logsumexp(scaled) - scaled[y]
+    value = logsumexp(scaled) - scaled[gt]
     grad = softmax(scaled)
-    grad[y] -= 1.0
+    grad[gt] -= 1.0
     grad /= config.tau
-    norm = np.linalg.norm(logits)
-    if norm > 0:
-        value += config.lam * norm
-        grad += config.lam * logits / norm
-    return value, grad
+    norm = np.linalg.norm(logits, axis=1)
+    value += config.lam * norm
+    # a zero row is all zeros, so dividing it by 1 gives the zero subgradient
+    grad += config.lam * logits / np.where(norm > 0, norm, 1.0)[:, None]
+    return _result(single, value, grad)
 
 
-def ugd_loss(logits: np.ndarray, y: int, config: LossConfig) -> tuple[float, np.ndarray]:
+def ugd_loss(
+    logits: np.ndarray, y: int | np.ndarray, config: LossConfig
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Sum of the unknown-activation and softened-CE terms; either side can
     be ablated via config flags, but not both."""
     if not (config.enable_ua or config.enable_sce):
         raise ValueError("empty objective: both loss terms disabled")
-    value = 0.0
-    grad = np.zeros(np.asarray(logits).shape[0])
+    value, grad = 0.0, 0.0
     if config.enable_ua:
         v, g = ua_loss(logits, y)
-        value += v
-        grad += g
+        value, grad = value + v, grad + g
     if config.enable_sce:
         v, g = sce_loss(logits, y, config)
-        value += v
-        grad += g
+        value, grad = value + v, grad + g
     return value, grad

@@ -80,8 +80,10 @@ def decision_grid(
     bbox: tuple[tuple[float, float], tuple[float, float]],
     resolution: int,
 ) -> list[tuple[float, float, int]]:
-    """Label a regular resolution x resolution lattice over a 2-D box with
-    predict_fn, row-major (y outer, x inner)."""
+    """Label a regular resolution x resolution lattice over a 2-D box,
+    row-major (y outer, x inner). predict_fn maps an (n, 2) matrix of points
+    to n labels; it is called once per lattice row, which bounds the memory
+    a batched model pass takes."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     (xmin, xmax), (ymin, ymax) = bbox
@@ -89,8 +91,8 @@ def decision_grid(
     ys = np.linspace(ymin, ymax, resolution)
     out = []
     for y in ys:
-        for x in xs:
-            out.append((float(x), float(y), int(predict_fn(np.array([x, y])))))
+        labels = predict_fn(np.column_stack([xs, np.full(resolution, y)]))
+        out.extend((float(x), float(y), int(k)) for x, k in zip(xs, labels))
     return out
 
 

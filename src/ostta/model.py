@@ -1,5 +1,5 @@
 """Feed-forward encoder plus bias-free linear head, with hand-written
-forward and backward passes.
+forward and backward passes over batches of input rows.
 
 The head has num_known + 1 rows; the last row is the unknown class. Logits
 are computed from the raw penultimate feature h, while the normalized
@@ -54,7 +54,6 @@ class ModelParams:
 @dataclass
 class ForwardTrace:
     x: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     h: np.ndarray       # penultimate feature
     z: np.ndarray       # unit-norm embedding
@@ -66,19 +65,6 @@ class ModelGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     head: np.ndarray
-
-    def scale(self, s: float) -> "ModelGrads":
-        return ModelGrads(
-            [w * s for w in self.weights],
-            [b * s for b in self.biases],
-            self.head * s,
-        )
-
-    def add_(self, other: "ModelGrads") -> None:
-        for i in range(len(self.weights)):
-            self.weights[i] += other.weights[i]
-            self.biases[i] += other.biases[i]
-        self.head += other.head
 
     @staticmethod
     def zeros_like(params: ModelParams) -> "ModelGrads":
@@ -123,41 +109,41 @@ def _apply_act(pre: np.ndarray, act: str) -> np.ndarray:
 
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
+    """Forward pass over the rows of an (n, input_dim) matrix. A 1-D x is
+    the one-row case and gives a trace of 1-D arrays. Raises on a zero or
+    non-finite embedding row."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != params.input_dim:
-        raise ValueError(f"input dim {x.shape[0]} != model dim {params.input_dim}")
-    pre_acts, acts = [], []
+    if x.shape[-1] != params.input_dim:
+        raise ValueError(f"input dim {x.shape[-1]} != model dim {params.input_dim}")
+    acts = []
     a = x
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        pre = w @ a + b
-        a = _apply_act(pre, act)
-        pre_acts.append(pre)
+        a = _apply_act(a @ w.T + b, act)
         acts.append(a)
-    h = a
-    z = l2_normalize(h)
-    logits = params.head @ h
-    return ForwardTrace(x, pre_acts, acts, h, z, logits)
+    return ForwardTrace(x, acts, a, l2_normalize(a), a @ params.head.T)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> ModelGrads:
-    """Gradients of a scalar loss w.r.t. all parameters, given dL/dlogits."""
+    """Gradients of the summed row losses w.r.t. all parameters, given
+    dL/dlogits with the shape of trace.logits."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != trace.logits.shape:
         raise ValueError("dlogits shape mismatch")
-    dhead = np.outer(dlogits, trace.h)
-    da = params.head.T @ dlogits
+    dlogits = np.atleast_2d(dlogits)
+    inputs = [np.atleast_2d(a) for a in (trace.x, *trace.activations)]
+    dhead = dlogits.T @ inputs[-1]
+    da = dlogits @ params.head
     n = len(params.weights)
     dws: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     dbs: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     for i in range(n - 1, -1, -1):
         if params.activations[i] == "tanh":
-            dpre = da * (1.0 - trace.activations[i] ** 2)
+            dpre = da * (1.0 - inputs[i + 1] ** 2)
         else:
             dpre = da
-        prev = trace.activations[i - 1] if i > 0 else trace.x
-        dws[i] = np.outer(dpre, prev)
-        dbs[i] = dpre
-        da = params.weights[i].T @ dpre
+        dws[i] = dpre.T @ inputs[i]
+        dbs[i] = dpre.sum(axis=0)
+        da = dpre @ params.weights[i]
     return ModelGrads(dws, dbs, dhead)
 
 

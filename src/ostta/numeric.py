@@ -1,6 +1,7 @@
-"""Vector primitives: normalization, cosine similarity, temperature softmax.
+"""Vector primitives: normalization and temperature softmax.
 
-All functions are pure and operate on 1-D float64 arrays.
+All functions are pure and act along the last axis, so a 1-D array is one
+vector and a 2-D array is a batch of row vectors.
 """
 from __future__ import annotations
 
@@ -8,25 +9,20 @@ import numpy as np
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale v to unit Euclidean norm. Raises on the zero vector."""
+    """Scale v (or each row of v) to unit Euclidean norm. Raises on a zero
+    or non-finite vector."""
     v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0.0 or not np.isfinite(norm):
+    if v.ndim == 1:
+        # numpy's dot-product norm: the online engine normalizes a few
+        # vectors per sample, and the row-wise reduction costs twice as much
+        norm = np.linalg.norm(v)
+        ok = 0.0 < norm < np.inf
+    else:
+        norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        ok = ((norm > 0.0) & (norm < np.inf)).all()
+    if not ok:
         raise ValueError("cannot normalize a zero or non-finite vector")
     return v / norm
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between a and b, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -34,13 +30,13 @@ def softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     z = np.asarray(logits, dtype=np.float64) / tau
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def logsumexp(z: np.ndarray) -> float:
-    """Stable log(sum(exp(z)))."""
+def logsumexp(z: np.ndarray) -> np.ndarray:
+    """Stable log(sum(exp(z))); a 0-d array for a 1-D input."""
     z = np.asarray(z, dtype=np.float64)
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()))
+    m = z.max(axis=-1, keepdims=True)
+    return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]

@@ -11,6 +11,10 @@ from .losses import LossConfig, ce_loss, ugd_loss
 from .model import ModelGrads, ModelParams, backward, forward
 from .numeric import l2_normalize
 
+# Rows per forward call in extract_bank: one matrix over a large bank would
+# hold every layer's activations at once.
+_BANK_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -43,51 +47,40 @@ class EmbeddingBank:
         return self.embeddings.shape[0]
 
 
-def _sample_loss(params: ModelParams, sample: Sample, config: TrainConfig):
-    trace = forward(params, sample.features)
-    if config.objective == "ce":
-        value, dlogits = ce_loss(trace.logits, sample.label)
-    else:
-        value, dlogits = ugd_loss(trace.logits, sample.label, config.loss)
-    return value, backward(params, trace, dlogits)
-
-
 def train(
     params: ModelParams,
     train_set: list[Sample],
     config: TrainConfig,
 ) -> tuple[ModelParams, list[float]]:
-    """Momentum SGD over shuffled mini-batches; returns new params and the
-    mean loss per epoch. Aborts on non-finite loss."""
+    """Momentum SGD over shuffled mini-batches, one batched forward/backward
+    per batch; returns new params and the mean loss per epoch. Aborts on a
+    non-finite loss or a zero or non-finite embedding."""
     config.validate()
-    if any(s.label < 0 for s in train_set):
-        raise ValueError("train set must contain known labels only")
+    features, labels = _stack(train_set)
     params = params.copy()
     velocity = ModelGrads.zeros_like(params)
     rng = np.random.default_rng(config.shuffle_seed)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_set))
-        epoch_losses: list[float] = []
+        epoch_losses: list[np.ndarray] = []
         for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            grad = ModelGrads.zeros_like(params)
-            for sample in batch:
-                try:
-                    value, g = _sample_loss(params, sample, config)
-                except ValueError as exc:
-                    # overflowing parameters surface as non-normalizable
-                    # embeddings before the loss itself goes non-finite
-                    raise RuntimeError(
-                        f"training diverged at epoch {epoch}: {exc}"
-                    ) from exc
-                if not np.isfinite(value):
-                    raise RuntimeError(
-                        f"training diverged: non-finite loss at epoch {epoch}"
-                    )
-                epoch_losses.append(value)
-                grad.add_(g)
-            grad = grad.scale(1.0 / len(batch))
+            batch = order[start : start + config.batch_size]
+            try:
+                trace = forward(params, features[batch])
+            except ValueError as exc:
+                # overflowing parameters surface as non-normalizable
+                # embeddings before the loss itself goes non-finite
+                raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from exc
+            if config.objective == "ce":
+                values, dlogits = ce_loss(trace.logits, labels[batch])
+            else:
+                values, dlogits = ugd_loss(trace.logits, labels[batch], config.loss)
+            if not np.all(np.isfinite(values)):
+                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
+            epoch_losses.append(values)
+            # gradient of the batch-mean loss
+            grad = backward(params, trace, dlogits / len(batch))
             for i in range(len(params.weights)):
                 velocity.weights[i] = config.momentum * velocity.weights[i] + grad.weights[i]
                 velocity.biases[i] = config.momentum * velocity.biases[i] + grad.biases[i]
@@ -95,17 +88,26 @@ def train(
                 params.biases[i] -= config.learning_rate * velocity.biases[i]
             velocity.head = config.momentum * velocity.head + grad.head
             params.head -= config.learning_rate * velocity.head
-        history.append(float(np.mean(epoch_losses)))
+        history.append(float(np.mean(np.concatenate(epoch_losses))))
     return params, history
+
+
+def _stack(train_set: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """Features as an (n, d) matrix and labels as (n,) known indices."""
+    if any(s.label < 0 for s in train_set):
+        raise ValueError("train set must contain known labels only")
+    features = np.stack([s.features for s in train_set])
+    return features, np.array([s.label for s in train_set], dtype=np.int64)
 
 
 def extract_bank(params: ModelParams, train_set: list[Sample]) -> EmbeddingBank:
     """One normalized embedding per training sample (input order) plus
     renormalized per-class mean prototypes."""
-    if any(s.label < 0 for s in train_set):
-        raise ValueError("train set must contain known labels only")
-    embeddings = np.stack([forward(params, s.features).z for s in train_set])
-    labels = np.array([s.label for s in train_set], dtype=np.int64)
+    features, labels = _stack(train_set)
+    embeddings = np.concatenate([
+        forward(params, features[i : i + _BANK_BLOCK]).z
+        for i in range(0, len(features), _BANK_BLOCK)
+    ])
     prototypes = []
     for k in range(params.num_known):
         members = embeddings[labels == k]

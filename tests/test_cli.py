@@ -127,6 +127,18 @@ def test_run_experiment_reuses_cache(tmp_path):
     assert os.path.getmtime(outdir / ckpts[0]) == stamp
 
 
+def test_run_experiment_retrains_when_bank_missing(tmp_path):
+    cfg = _small_config(arms=("ugd",))
+    outdir = tmp_path / "out"
+    run_experiment(cfg, str(outdir))
+    bank = next(n for n in os.listdir(outdir)
+                if n.startswith("bank_") and n.endswith(".csv") and not n.endswith(".proto.csv"))
+    before = (outdir / bank).read_bytes()
+    os.remove(outdir / bank)
+    run_experiment(cfg, str(outdir), force=True)
+    assert (outdir / bank).read_bytes() == before
+
+
 def test_cli_end_to_end_pipeline(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config_to_dict(_small_config())))

@@ -61,6 +61,19 @@ def test_tie_break_prefers_lower_index():
         assert hood.indices.tolist() == [0, 1, 2]
 
 
+def test_backends_agree_on_duplicate_rows():
+    # tie groups that straddle a block's k-th place: a block must pass the
+    # whole group on, or the merge cannot restore ascending-id order
+    rng = np.random.default_rng(0)
+    base = np.stack([l2_normalize(v) for v in rng.normal(size=(20, 4))])
+    bank = _bank_from(base[rng.integers(20, size=128)])
+    brute = build_index(bank, k=10, backend="brute")
+    part = build_index(bank, k=10, backend="partitioned")
+    for _ in range(200):
+        z = l2_normalize(rng.normal(size=4))
+        assert np.array_equal(query(brute, z).indices, query(part, z).indices)
+
+
 def test_similarities_non_increasing():
     rng = np.random.default_rng(3)
     bank = _random_bank(50, 4, 4)

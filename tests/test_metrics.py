@@ -99,7 +99,7 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_decision_grid_layout():
-    grid = decision_grid(lambda p: 0 if p[0] < 0 else 1, ((-1, 1), (-2, 2)), 3)
+    grid = decision_grid(lambda pts: (pts[:, 0] >= 0).astype(int), ((-1, 1), (-2, 2)), 3)
     assert len(grid) == 9
     # row-major: y varies slowest
     assert grid[0][:2] == (-1.0, -2.0)

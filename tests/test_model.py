@@ -118,18 +118,6 @@ def test_backward_full_finite_difference(loss_name):
         assert np.linalg.norm(an - fd) / denom <= 1e-4
 
 
-def test_grads_scale_and_accumulate():
-    p = init_model(2, 4, 3, 0, hidden=(5,))
-    trace = forward(p, np.array([0.1, 0.2]))
-    _, dlogits = ce_loss(trace.logits, 0)
-    g = backward(p, trace, dlogits)
-    g2 = backward(p, trace, dlogits)
-    g2.add_(g)
-    g3 = g2.scale(0.5)
-    np.testing.assert_allclose(g3.head, g.head, atol=1e-12)
-    np.testing.assert_allclose(g3.weights[0], g.weights[0], atol=1e-12)
-
-
 def test_copy_is_deep():
     p = init_model(2, 4, 3, 0)
     q = p.copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ostta.numeric import cosine_similarity, l2_normalize, softmax
+from ostta.numeric import l2_normalize, softmax
 
 
 def test_l2_normalize_345_triangle():
@@ -25,29 +25,22 @@ def test_l2_normalize_idempotent():
         np.testing.assert_allclose(l2_normalize(once), once, atol=1e-12)
 
 
-def test_cosine_identical_orthogonal_opposite():
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    assert cosine_similarity(e0, e0) == pytest.approx(1.0)
-    assert cosine_similarity(e0, e1) == pytest.approx(0.0)
-    assert cosine_similarity(e0, -e0) == pytest.approx(-1.0)
+def test_l2_normalize_rows_match_vectors():
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(30, 6)) * rng.uniform(0.01, 100.0, size=(30, 1))
+    out = l2_normalize(rows)
+    for row, got in zip(rows, out):
+        np.testing.assert_allclose(got, l2_normalize(row), rtol=0, atol=1e-15)
 
 
-def test_cosine_scale_invariant():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        c = rng.uniform(0.1, 100.0)
-        assert cosine_similarity(c * a, b) == pytest.approx(
-            cosine_similarity(a, b), abs=1e-12
-        )
-
-
-def test_cosine_errors():
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_l2_normalize_rejects_any_bad_row(bad):
+    rows = np.ones((4, 3))
+    rows[2] = bad
     with pytest.raises(ValueError):
-        cosine_similarity(np.ones(2), np.ones(3))
+        l2_normalize(rows)
     with pytest.raises(ValueError):
-        cosine_similarity(np.zeros(2), np.ones(2))
+        l2_normalize(rows[2])
 
 
 def test_softmax_uniform():

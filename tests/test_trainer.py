@@ -106,6 +106,14 @@ def test_train_diverging_raises():
         train(params, _tiny_set(), cfg)
 
 
+def test_train_zero_embedding_row_raises():
+    # zero biases map the origin to a zero embedding, in any batch position
+    zero = Sample(np.array([0.0, 0.0]), 0)
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    with pytest.raises(RuntimeError, match="diverged"):
+        train(params, _tiny_set() + [zero], TrainConfig(epochs=1, batch_size=4))
+
+
 def test_train_ugd_vs_ce_differ():
     params = init_model(2, 4, 3, 0, hidden=(8,))
     p_ce, _ = train(params, _tiny_set(), TrainConfig(epochs=2, objective="ce"))
@@ -143,6 +151,16 @@ def test_extract_bank_properties():
     np.testing.assert_allclose(
         bank.prototypes[0], mean0 / np.linalg.norm(mean0), atol=1e-12
     )
+
+
+def test_extract_bank_spans_blocks_in_input_order():
+    train_set, _ = generate_blobs(BlobSpec(seed=2, samples_per_cluster=200))
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    bank = extract_bank(params, train_set)
+    assert bank.embeddings.shape == (600, 4)
+    one_by_one = np.stack([forward(params, s.features).z for s in train_set])
+    np.testing.assert_allclose(bank.embeddings, one_by_one, rtol=0, atol=1e-12)
+    assert bank.labels.tolist() == [s.label for s in train_set]
 
 
 def test_extract_bank_missing_class():
