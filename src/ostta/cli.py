@@ -35,7 +35,7 @@ from .losses import LossConfig
 from .metrics import decision_grid, evaluate, save_grid
 from .model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, extract_bank, load_bank, save_bank, train
-from .tur import TurConfig, init_tur, predict_frozen, run_stream, save_snapshot
+from .tur import Prediction, TurConfig, init_tur, predict_frozen, run_stream, save_snapshot
 
 ARMS = ("ce", "ugd_no_ua", "ugd_no_sce", "ugd", "art")
 
@@ -166,6 +166,13 @@ def _grid_bbox(samples: list[Sample], margin: float):
     )
 
 
+def _engine_records(preds: list[Prediction], truths: list[int]) -> list[dict]:
+    """One steps-file record per engine prediction, in stream order."""
+    return [{"step": i, "route": p.route, "source_match": p.source_match,
+             "target_match": p.target_match, "pred": p.label, "true": t}
+            for i, (p, t) in enumerate(zip(preds, truths))]
+
+
 def _write_steps(path: str, records: list[dict]) -> None:
     with open(path, "w") as fh:
         for rec in records:
@@ -191,24 +198,17 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
         for seed in cfg.stream_seeds:
             stream = make_stream(shifted_test, seed)
             truths = [s.label for s in stream]
-            records = []
             if arm == "art":
                 state = init_tur(bank, params, cfg.tur)
-                preds_full = run_stream(state, stream)
-                preds = [p.label for p in preds_full]
-                for i, (p, t) in enumerate(zip(preds_full, truths)):
-                    records.append({
-                        "step": i, "route": p.route,
-                        "source_match": p.source_match,
-                        "target_match": p.target_match,
-                        "pred": p.label, "true": t,
-                    })
+                predictions = run_stream(state, stream)
+                preds = [p.label for p in predictions]
+                records = _engine_records(predictions, truths)
                 if grid_state is None:
                     grid_state = state
             else:
                 preds = _argmax_labels(params, np.stack([s.features for s in stream]))
-                for i, (p, t) in enumerate(zip(preds, truths)):
-                    records.append({"step": i, "route": "model", "pred": p, "true": t})
+                records = [{"step": i, "route": "model", "pred": p, "true": t}
+                           for i, (p, t) in enumerate(zip(preds, truths))]
             report = evaluate(preds, truths, num_known)
             report.to_json(os.path.join(outdir, f"report_{arm}_{seed}.json"))
             _write_steps(os.path.join(outdir, f"steps_{arm}_{seed}.ndjson"), records)
@@ -217,7 +217,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
         if cfg.blob.dim == 2:
             bbox = _grid_bbox(train_set + shifted_test, cfg.grid_margin)
             if arm == "art" and grid_state is not None:
-                predict = lambda xs: [predict_frozen(grid_state, x) for x in xs]  # noqa: E731
+                predict = lambda xs: predict_frozen(grid_state, xs)  # noqa: E731
             else:
                 predict = lambda xs: _argmax_labels(params, xs)  # noqa: E731
             grid = decision_grid(predict, bbox, cfg.grid_resolution)
@@ -257,12 +257,7 @@ def _cmd_adapt(args) -> int:
     stream = make_stream(test_set, args.stream_seed)
     state = init_tur(bank, params, cfg.tur)
     preds = run_stream(state, stream)
-    records = [
-        {"step": i, "route": p.route, "source_match": p.source_match,
-         "target_match": p.target_match, "pred": p.label, "true": s.label}
-        for i, (p, s) in enumerate(zip(preds, stream))
-    ]
-    _write_steps(args.steps_out, records)
+    _write_steps(args.steps_out, _engine_records(preds, [s.label for s in stream]))
     if args.snapshot_out:
         save_snapshot(state, args.snapshot_out)
     print(f"adapted over {len(stream)} samples; steps written to {args.steps_out}")

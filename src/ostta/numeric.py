@@ -18,7 +18,8 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
         norm = np.linalg.norm(v)
         ok = 0.0 < norm < np.inf
     else:
-        norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        with np.errstate(over="ignore"):  # an overflowed square is rejected below
+            norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
         ok = ((norm > 0.0) & (norm < np.inf)).all()
     if not ok:
         raise ValueError("cannot normalize a zero or non-finite vector")

@@ -7,9 +7,11 @@ against a fixed cutoff. State evolves strictly one sample at a time.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 QUERY_MODES = ("source_centroid", "target_embedding")
 COLD_START_MODES = ("seed_on_first_match", "seed_per_class", "copy_source")
+SNAPSHOT_FORMAT = 2  # format 1 kept every follow-up embedding in lists
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,8 @@ class TurState:
     index: KnnIndex                       # frozen source embeddings
     source_prototypes: np.ndarray         # (num_known, d), frozen
     target_prototypes: dict[int, np.ndarray]  # present classes only
-    memory: list[list[np.ndarray]]        # num_known + 1 lists of unit vectors
+    memory_sum: np.ndarray                # (num_known + 1, d), sum of each class's unit vectors
+    memory_count: np.ndarray              # (num_known + 1,), vectors summed per class
     followup_prototypes: np.ndarray       # (num_known + 1, d), unit rows
     params: ModelParams                   # read-only; head applied to embeddings
     config: TurConfig
@@ -63,7 +67,6 @@ class Prediction:
     route: str  # "agreed" or "followup"
     source_match: int
     target_match: int | None
-    similarities: dict[str, float] = field(default_factory=dict)
 
 
 def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> TurState:
@@ -72,13 +75,10 @@ def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> Tur
     config.validate()
     if bank.embeddings.shape[1] != params.embed_dim:
         raise ValueError("bank and head embedding dims disagree")
-    memory = []
-    for k in range(params.num_known + 1):
-        row = params.head[k]
-        if np.linalg.norm(row) == 0.0:
-            raise ValueError(f"head row {k} is zero: cannot seed memory bank")
-        memory.append([l2_normalize(row)])
-    followup = np.stack([m[0] for m in memory])
+    zero = np.flatnonzero(np.linalg.norm(params.head, axis=1) == 0.0)
+    if len(zero):
+        raise ValueError(f"head row {zero[0]} is zero: cannot seed memory bank")
+    seeds = np.stack([l2_normalize(row) for row in params.head])
     target: dict[int, np.ndarray] = {}
     if config.cold_start_mode == "copy_source":
         target = {k: bank.prototypes[k].copy() for k in range(params.num_known)}
@@ -86,28 +86,26 @@ def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> Tur
         index=build_index(bank, k=config.k),
         source_prototypes=bank.prototypes,
         target_prototypes=target,
-        memory=memory,
-        followup_prototypes=followup,
+        memory_sum=seeds.copy(),
+        memory_count=np.ones(len(seeds), dtype=np.int64),
+        followup_prototypes=seeds,
         params=params,
         config=config,
     )
 
 
-def match_source(state: TurState, centroid: np.ndarray) -> int:
-    """Best source class by cosine against the frozen source prototypes;
-    ties go to the lowest index."""
-    sims = state.source_prototypes @ centroid
-    return int(np.argmax(sims))
+def match_source(state: TurState, centroid: np.ndarray) -> np.ndarray:
+    """Best frozen source prototype per centroid row; ties go to the lowest."""
+    return np.argmax(centroid @ state.source_prototypes.T, axis=-1)
 
 
-def match_target(state: TurState, centroid: np.ndarray) -> int | None:
-    """Best class among currently present target prototypes, or None before
-    any prototype exists."""
+def match_target(state: TurState, centroid: np.ndarray) -> np.ndarray | None:
+    """Best present target prototype per centroid row, or None before any."""
     if not state.target_prototypes:
         return None
     keys = sorted(state.target_prototypes)
-    sims = [state.target_prototypes[k] @ centroid for k in keys]
-    return keys[int(np.argmax(sims))]
+    sims = centroid @ np.array([state.target_prototypes[k] for k in keys]).T
+    return np.array(keys)[np.argmax(sims, axis=-1)]
 
 
 def update_target_prototype(state: TurState, k: int, z_t: np.ndarray) -> None:
@@ -125,11 +123,12 @@ def update_target_prototype(state: TurState, k: int, z_t: np.ndarray) -> None:
 
 
 def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
-    """Append z_t to the memory list of the head's predicted class and
-    refresh that class's follow-up prototype. Returns the chosen class."""
+    """Add z_t to the running sum of the head's predicted class and refresh
+    that class's follow-up prototype, the normalized mean. Returns the class."""
     k = int(np.argmax(head_logits(state.params, z_t)))
-    state.memory[k].append(z_t.copy())
-    mean = np.mean(state.memory[k], axis=0)
+    state.memory_sum[k] += z_t
+    state.memory_count[k] += 1
+    mean = state.memory_sum[k] / state.memory_count[k]
     if np.linalg.norm(mean) > 0.0:
         state.followup_prototypes[k] = l2_normalize(mean)
     else:
@@ -137,69 +136,58 @@ def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
     return k
 
 
-def followup_predict(state: TurState, q: np.ndarray) -> int:
-    """(num_known + 1)-way argmax over the follow-up prototypes; the last
-    index maps to UNKNOWN."""
-    sims = state.followup_prototypes @ q
-    k = int(np.argmax(sims))
-    return UNKNOWN if k == state.num_known else k
+def followup_predict(state: TurState, q: np.ndarray) -> np.ndarray:
+    """(num_known + 1)-way argmax per row of q over the follow-up prototypes;
+    the last index maps to UNKNOWN."""
+    k = np.argmax(q @ state.followup_prototypes.T, axis=-1)
+    return np.where(k == state.num_known, UNKNOWN, k)
 
 
-def _cold_start_applies(state: TurState, k_src: int, k_tgt: int | None) -> bool:
-    """Whether a disagreement is instead treated as provisional agreement
-    because the matching prototype has not been seeded yet."""
+def decide(state: TurState, z: np.ndarray, centroid: np.ndarray):
+    """Route embedding rows z with their neighborhood centroids on the current
+    state, without changing it. Returns per row the source match, the target
+    match (None before any target prototype exists), whether the row is agreed
+    (cycle-consistent or cold-start), hence labelled by its source match, and
+    the follow-up query vector."""
+    k_src = match_source(state, centroid)
+    k_tgt = match_target(state, centroid)
+    q = centroid if state.config.query_vector_mode == "source_centroid" else z
     mode = state.config.cold_start_mode
-    if mode == "seed_on_first_match":
-        return k_tgt is None
-    if mode == "seed_per_class":
-        return k_src not in state.target_prototypes
-    return False
+    if k_tgt is None:  # no target prototype yet: both seeding modes agree
+        return k_src, None, np.full(np.shape(k_src), mode != "copy_source"), q
+    agreed = k_src == k_tgt
+    if mode == "seed_per_class":  # so does a class with no target prototype
+        seeded = np.zeros(state.num_known, dtype=bool)
+        seeded[list(state.target_prototypes)] = True
+        agreed |= ~seeded[k_src]
+    return k_src, k_tgt, agreed, q
 
 
 def step(state: TurState, x_t: np.ndarray) -> Prediction:
-    """Process one test sample: embed, match against both prototype sets,
-    take the agreed route on cycle consistency, otherwise fall back to the
-    memory-bank prediction. Mutates state in place; never touches params."""
-    trace = forward(state.params, x_t)
-    z_t = trace.z
-    hood = query(state.index, z_t)
-    centroid = hood.centroid
-    k_src = match_source(state, centroid)
-    k_tgt = match_target(state, centroid)
-    q = centroid if state.config.query_vector_mode == "source_centroid" else z_t
-
-    sims = {
-        "source": float(state.source_prototypes[k_src] @ centroid),
-        "neighbor_best": float(hood.similarities[0]),
-    }
-
-    if k_tgt is not None and k_tgt == k_src:
-        update_target_prototype(state, k_tgt, z_t)
-        pred = Prediction(k_tgt, "agreed", k_src, k_tgt, sims)
-    elif _cold_start_applies(state, k_src, k_tgt):
-        # absence counts as provisional agreement: seed and predict k_src
+    """Process one test sample: embed, route it with `decide`, then update
+    the matched target prototype, or add the sample to the memory bank and
+    take the follow-up label. Mutates state in place; never touches params."""
+    z_t = forward(state.params, x_t).z
+    centroid = query(state.index, z_t).centroid
+    k_src, k_tgt, agreed, q = decide(state, z_t, centroid)
+    k_src, k_tgt = int(k_src), None if k_tgt is None else int(k_tgt)
+    if agreed:
         update_target_prototype(state, k_src, z_t)
-        pred = Prediction(k_src, "agreed", k_src, k_tgt, sims)
+        pred = Prediction(k_src, "agreed", k_src, k_tgt)
     else:
         update_memory_bank(state, z_t)
-        pred = Prediction(followup_predict(state, q), "followup", k_src, k_tgt, sims)
+        pred = Prediction(int(followup_predict(state, q)), "followup", k_src, k_tgt)
     state.step_count += 1
     return pred
 
 
-def predict_frozen(state: TurState, x: np.ndarray) -> int:
-    """Label a point with the current state without mutating it; used for
-    decision-grid export after a stream has been processed."""
-    trace = forward(state.params, x)
-    hood = query(state.index, trace.z)
-    k_src = match_source(state, hood.centroid)
-    k_tgt = match_target(state, hood.centroid)
-    if k_tgt is not None and k_tgt == k_src:
-        return k_tgt
-    if _cold_start_applies(state, k_src, k_tgt):
-        return k_src
-    q = hood.centroid if state.config.query_vector_mode == "source_centroid" else trace.z
-    return followup_predict(state, q)
+def predict_frozen(state: TurState, x: np.ndarray) -> np.ndarray:
+    """Label the rows of x (a 1-D x is one point) as `step` would, without
+    changing the state; used for decision-grid export after a stream."""
+    z = forward(state.params, x).z
+    centroid = query(state.index, z).centroid
+    k_src, _, agreed, q = decide(state, z, centroid)
+    return np.where(agreed, k_src, followup_predict(state, q))[()]  # one point: a scalar
 
 
 def run_stream(state: TurState, stream) -> list[Prediction]:
@@ -208,35 +196,36 @@ def run_stream(state: TurState, stream) -> list[Prediction]:
 
 
 def save_snapshot(state: TurState, path: str) -> None:
-    """Resumable snapshot: prototypes, memory bank, and step counter.
-    The frozen bank and model travel in their own files."""
+    """Resumable snapshot of a size fixed by the model: prototypes, memory
+    sums and counts, and step counter (bank and model have their own files).
+    Written through a temporary file, so a crash keeps the old snapshot."""
     payload = {
+        "format": SNAPSHOT_FORMAT,
         "step_count": state.step_count,
-        "target_prototypes": {
-            str(k): v.tolist() for k, v in state.target_prototypes.items()
-        },
-        "memory": [[v.tolist() for v in m] for m in state.memory],
+        "target_prototypes": {str(k): v.tolist() for k, v in state.target_prototypes.items()},
+        "memory_sum": state.memory_sum.tolist(),
+        "memory_count": state.memory_count.tolist(),
         "followup_prototypes": state.followup_prototypes.tolist(),
-        "config": {
-            "ema_weight": state.config.ema_weight,
-            "k": state.config.k,
-            "query_vector_mode": state.config.query_vector_mode,
-            "cold_start_mode": state.config.cold_start_mode,
-        },
+        "config": dataclasses.asdict(state.config),
     }
-    with open(path, "w") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
+    os.replace(tmp, path)
 
 
 def load_snapshot(path: str, bank: EmbeddingBank, params: ModelParams) -> TurState:
     with open(path) as fh:
         payload = json.load(fh)
-    config = TurConfig(**payload["config"])
-    state = init_tur(bank, params, config)
+    if payload.get("format") != SNAPSHOT_FORMAT:
+        raise ValueError(f"{path}: not a format-{SNAPSHOT_FORMAT} engine snapshot")
+    state = init_tur(bank, params, TurConfig(**payload["config"]))
+    for name in ("memory_sum", "memory_count", "followup_prototypes"):
+        fresh = getattr(state, name)  # shaped by the model
+        value = np.array(payload[name], dtype=fresh.dtype)
+        if value.shape != fresh.shape:
+            raise ValueError(f"{path}: {name} has shape {value.shape}, the model needs {fresh.shape}")
+        setattr(state, name, value)
     state.step_count = payload["step_count"]
-    state.target_prototypes = {
-        int(k): np.array(v) for k, v in payload["target_prototypes"].items()
-    }
-    state.memory = [[np.array(v) for v in m] for m in payload["memory"]]
-    state.followup_prototypes = np.array(payload["followup_prototypes"])
+    state.target_prototypes = {int(k): np.array(v) for k, v in payload["target_prototypes"].items()}
     return state

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -165,14 +166,14 @@ def test_cli_end_to_end_pipeline(tmp_path):
     report = str(tmp_path / "report.json")
     assert main(["eval", "--steps", steps, "--num-known", "3",
                  "--report-out", report]) == 0
-    payload = json.loads(open(report).read())
+    payload = json.loads(Path(report).read_text())
     assert payload["n"] == 40
 
     grid_out = str(tmp_path / "grid.csv")
     assert main(["grid", "--checkpoint", ckpt, "--xmin", "-5", "--xmax", "5",
                  "--ymin", "-5", "--ymax", "5", "--resolution", "4",
                  "--grid-out", grid_out]) == 0
-    assert len(open(grid_out).read().splitlines()) == 17
+    assert len(Path(grid_out).read_text().splitlines()) == 17
 
 
 def test_cli_run_and_ablate(tmp_path, capsys):

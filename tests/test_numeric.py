@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,11 @@ def test_softmax_temperature_equals_prescaled():
 def test_softmax_bad_temperature():
     with pytest.raises(ValueError):
         softmax(np.zeros(3), tau=0.0)
+
+
+def test_l2_normalize_overflowing_row_raises_without_warning():
+    # the squares overflow to inf; the guard rejects the row, numpy stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            l2_normalize(np.full((2, 3), 1e200))

@@ -1,11 +1,20 @@
+import functools
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostta.data import UNKNOWN, BlobSpec, ShiftSpec, apply_shift, generate_blobs, make_stream
 from ostta.model import init_model
 from ostta.numeric import l2_normalize
 from ostta.trainer import EmbeddingBank, TrainConfig, extract_bank, train
 from ostta.tur import (
+    COLD_START_MODES,
+    QUERY_MODES,
     TurConfig,
     TurState,
     followup_predict,
@@ -55,6 +64,11 @@ def _trained_state(config, blob_seed=0, shift=None):
     return init_tur(bank, trained, config), trained, test_set
 
 
+def _memory_bytes(state):
+    return (state.memory_sum.tobytes(), state.memory_count.tobytes(),
+            state.followup_prototypes.tobytes())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TurConfig(ema_weight=0.0).validate()
@@ -69,11 +83,15 @@ def test_config_validation():
 
 def test_init_memory_seeded_from_head_rows():
     state, _, params = _toy_state()
-    assert len(state.memory) == 4
-    for k, mem in enumerate(state.memory):
-        assert len(mem) == 1
-        np.testing.assert_allclose(mem[0], l2_normalize(params.head[k]), atol=1e-12)
-        np.testing.assert_allclose(state.followup_prototypes[k], mem[0], atol=1e-12)
+    assert state.memory_sum.shape == (4, 4)
+    assert state.memory_count.tolist() == [1, 1, 1, 1]
+    for k in range(4):
+        np.testing.assert_allclose(
+            state.memory_sum[k], l2_normalize(params.head[k]), atol=1e-12
+        )
+        np.testing.assert_allclose(
+            state.followup_prototypes[k], state.memory_sum[k], atol=1e-12
+        )
     assert state.target_prototypes == {}
     assert state.step_count == 0
 
@@ -141,23 +159,26 @@ def test_ema_degenerate_left_unchanged():
 
 def test_memory_bank_update_routes_by_head():
     state, _, params = _toy_state()
+    seed = state.memory_sum[2].copy()
     z = l2_normalize(params.head[2])
     k = update_memory_bank(state, z)
     assert k == 2
-    assert len(state.memory[2]) == 2
-    mean = np.mean(state.memory[2], axis=0)
+    assert state.memory_count[2] == 2
+    mean = np.mean([seed, z], axis=0)
     np.testing.assert_allclose(
         state.followup_prototypes[2], mean / np.linalg.norm(mean), atol=1e-12
     )
 
 
 def test_followup_prototype_hand_value():
-    state, _, _ = _toy_state()
-    state.memory[0] = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])]
-    mean = np.mean(state.memory[0], axis=0)
-    state.followup_prototypes[0] = l2_normalize(mean)
+    state, _, params = _toy_state()
+    e0, e1 = np.eye(4)[0], np.eye(4)[1]
+    k = int(np.argmax(params.head @ e1))
+    state.memory_sum[k], state.memory_count[k] = e0, 1
+    assert update_memory_bank(state, e1) == k
+    assert state.memory_count[k] == 2
     s = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(state.followup_prototypes[0][:2], [s, s], atol=1e-12)
+    np.testing.assert_allclose(state.followup_prototypes[k], [s, s, 0.0, 0.0], atol=1e-12)
 
 
 def test_followup_predict_maps_last_to_unknown():
@@ -204,7 +225,7 @@ def test_step_followup_route_grows_memory():
     preds = run_stream(state, make_stream(test_set, 0))
     followups = [p for p in preds if p.route == "followup"]
     assert followups, "expected at least one disagreement on shifted unknowns"
-    assert sum(len(m) for m in state.memory) == 4 + len(followups)
+    assert state.memory_count.sum() == 4 + len(followups)
     labels = {p.label for p in preds}
     assert labels <= {0, 1, 2, UNKNOWN}
 
@@ -237,13 +258,15 @@ def test_predict_frozen_does_not_mutate():
     state, _, test_set = _trained_state(TurConfig(k=10))
     run_stream(state, make_stream(test_set, 0))
     protos_before = {k: v.copy() for k, v in state.target_prototypes.items()}
-    mem_sizes = [len(m) for m in state.memory]
+    memory_before = _memory_bytes(state)
     steps_before = state.step_count
     for s in test_set[:20]:
         label = predict_frozen(state, s.features)
         assert label in {0, 1, 2, UNKNOWN}
+    labels = predict_frozen(state, np.stack([s.features for s in test_set]))
+    assert set(labels.tolist()) <= {0, 1, 2, UNKNOWN}
     assert state.step_count == steps_before
-    assert [len(m) for m in state.memory] == mem_sizes
+    assert _memory_bytes(state) == memory_before
     for k, v in protos_before.items():
         np.testing.assert_array_equal(state.target_prototypes[k], v)
 
@@ -262,7 +285,7 @@ def test_snapshot_round_trip(tmp_path):
         np.testing.assert_allclose(
             restored.target_prototypes[k], state.target_prototypes[k], atol=1e-12
         )
-    assert [len(m) for m in restored.memory] == [len(m) for m in state.memory]
+    assert _memory_bytes(restored) == _memory_bytes(state)
     np.testing.assert_allclose(
         restored.followup_prototypes, state.followup_prototypes, atol=1e-12
     )
@@ -271,3 +294,86 @@ def test_snapshot_round_trip(tmp_path):
     a = [p.label for p in run_stream(state, rest)]
     b = [p.label for p in run_stream(restored, rest)]
     assert a == b
+
+
+@functools.lru_cache(maxsize=1)
+def _trained_model():
+    """A trained model, its bank and a shifted 120-sample stream, built once."""
+    train_set, test_set = generate_blobs(BlobSpec(seed=0, samples_per_cluster=30))
+    params, _ = train(init_model(2, 8, 3, 0), train_set, TrainConfig(epochs=15, objective="ugd"))
+    stream = make_stream(apply_shift(test_set, ShiftSpec(rotation_angle=0.8, seed=2)), 0)
+    return params, extract_bank(params, train_set), stream
+
+
+def _state_bytes(state):
+    targets = b"".join(state.target_prototypes[k].tobytes() for k in sorted(state.target_prototypes))
+    return _memory_bytes(state) + (targets, state.step_count)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cold=st.sampled_from(COLD_START_MODES), mode=st.sampled_from(QUERY_MODES),
+       split=st.integers(0, 120))
+def test_snapshot_resume_equals_uninterrupted(cold, mode, split):
+    params, bank, stream = _trained_model()
+    config = TurConfig(k=5, query_vector_mode=mode, cold_start_mode=cold)
+    whole = init_tur(bank, params, config)
+    want = [(p.label, p.route) for p in run_stream(whole, stream)]
+    first = init_tur(bank, params, config)
+    got = [(p.label, p.route) for p in run_stream(first, stream[:split])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snap.json")
+        save_snapshot(first, path)
+        resumed = load_snapshot(path, bank, params)
+    got += [(p.label, p.route) for p in run_stream(resumed, stream[split:])]
+    assert got == want
+    assert _state_bytes(resumed) == _state_bytes(whole)
+
+
+@pytest.mark.parametrize("cold", COLD_START_MODES)
+def test_predict_frozen_rows_equal_one_row_calls(cold):
+    params, bank, stream = _trained_model()
+    for mode in QUERY_MODES:
+        state = init_tur(bank, params, TurConfig(k=5, query_vector_mode=mode, cold_start_mode=cold))
+        for stream_part in (stream[:0], stream[:3], stream):
+            run_stream(state, stream_part)
+            lattice = np.linspace(-12, 12, 25)
+            x = np.array([[a, b] for b in lattice for a in lattice])
+            x = np.concatenate([x, np.stack([s.features for s in stream])])
+            rows = predict_frozen(state, x)
+            assert rows.shape == (len(x),)
+            assert rows.tolist() == [int(predict_frozen(state, row)) for row in x]
+
+
+def test_snapshot_size_does_not_grow_with_stream(tmp_path):
+    params, bank, stream = _trained_model()
+    state = init_tur(bank, params, TurConfig(k=5, cold_start_mode="copy_source"))
+    shapes = []
+    for part in (stream[:5], stream[5:]):
+        run_stream(state, part)
+        save_snapshot(state, str(tmp_path / "snap.json"))
+        payload = json.loads((tmp_path / "snap.json").read_text())
+        assert payload["format"] == 2
+        shapes.append([np.shape(payload[key]) for key in
+                       ("memory_sum", "memory_count", "followup_prototypes")])
+    assert shapes[0] == shapes[1] == [(4, 8), (4,), (4, 8)]
+    assert os.listdir(tmp_path) == ["snap.json"]  # the temporary file is gone
+
+
+def test_load_snapshot_rejects_old_format_and_bad_shapes(tmp_path):
+    params, bank, stream = _trained_model()
+    state = init_tur(bank, params, TurConfig(k=5))
+    run_stream(state, stream[:20])
+    path = tmp_path / "snap.json"
+    save_snapshot(state, str(path))
+    good = json.loads(path.read_text())
+
+    old = {k: v for k, v in good.items() if k not in ("format", "memory_sum", "memory_count")}
+    old["memory"] = [[row] for row in good["followup_prototypes"]]
+    bad_count = dict(good, memory_count=good["memory_count"][:-1])
+    bad_sum = dict(good, memory_sum=[row[:-1] for row in good["memory_sum"]])
+    for payload, match in ((old, "format-2"), (bad_count, "memory_count"),
+                           (bad_sum, "memory_sum")):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match) as err:
+            load_snapshot(str(path), bank, params)
+        assert str(path) in str(err.value)
