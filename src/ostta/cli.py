@@ -80,11 +80,9 @@ class ExperimentConfig:
             raise ValueError("need at least one stream seed")
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def _build(cls, payload: dict, path: str):
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} must be a JSON object, got {type(payload).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     hints = typing.get_type_hints(cls)
     unknown = set(payload) - set(fields)
@@ -93,7 +91,7 @@ def _build(cls, payload: dict, path: str):
     kwargs = {}
     for name, value in payload.items():
         ftype = hints.get(name)
-        if dataclasses.is_dataclass(ftype) and isinstance(value, dict):
+        if dataclasses.is_dataclass(ftype):
             kwargs[name] = _build(ftype, value, f"{path}.{name}")
         elif isinstance(value, list):
             kwargs[name] = tuple(value)
@@ -284,12 +282,10 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _cmd_run(args, arms: tuple[str, ...] | None = None) -> int:
+def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if arms is None and args.arms:
-        arms = tuple(args.arms.split(","))
-    if arms is not None:
-        cfg = dataclasses.replace(cfg, arms=arms)
+    if args.arms:
+        cfg = dataclasses.replace(cfg, arms=tuple(args.arms.split(",")))
     reports = run_experiment(cfg, args.outdir, force=args.force)
     for (arm, seed), report in sorted(reports.items()):
         hs = "n/a" if report.h_score is None else f"{report.h_score:.4f}"

@@ -6,7 +6,10 @@ collective unknown class. Multiple novel clusters all map to UNKNOWN.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,6 +134,16 @@ def make_stream(dataset: list[Sample], order_seed: int) -> list[Sample]:
     return [dataset[i] for i in order]
 
 
+@contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Write through a temporary file that replaces path on a clean close, so
+    a crash mid-write leaves the old file (or none), never a cut one."""
+    tmp = path + ".tmp"
+    with open(tmp, mode, **kwargs) as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
 def save_csv(dataset: list[Sample], path: str) -> None:
     dim = dataset[0].features.shape[0]
     with open(path, "w", newline="") as fh:
@@ -141,14 +154,33 @@ def save_csv(dataset: list[Sample], path: str) -> None:
             writer.writerow([repr(float(v)) for v in s.features] + [label])
 
 
-def load_csv(path: str) -> list[Sample]:
-    out: list[Sample] = []
+def read_labelled_csv(path: str, parse_label) -> tuple[list[list[float]], list]:
+    """Feature rows and parsed labels of a CSV with a header row and the label
+    in its last column. Raises, naming the file and the row (the header is
+    row 1), on a wrong column count, a value that does not parse, or a
+    non-finite feature."""
+    features, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 1
+        header = next(reader, [])
+        if len(header) < 2:
+            raise ValueError(f"{path}: the header needs feature columns and a label column")
         for row in reader:
-            feats = np.array([float(v) for v in row[:dim]])
-            label = UNKNOWN if row[dim] == UNKNOWN_TOKEN else int(row[dim])
-            out.append(Sample(feats, label))
-    return out
+            where = f"{path}, row {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} columns, the header has {len(header)}")
+            try:
+                values, label = list(map(float, row[:-1])), parse_label(row[-1])
+            except ValueError:
+                raise ValueError(f"{where}: cannot parse {row}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{where}: non-finite feature in {row}")
+            features.append(values)
+            labels.append(label)
+    return features, labels
+
+
+def load_csv(path: str) -> list[Sample]:
+    features, labels = read_labelled_csv(
+        path, lambda token: UNKNOWN if token == UNKNOWN_TOKEN else int(token))
+    return [Sample(np.array(f), label) for f, label in zip(features, labels)]

@@ -35,7 +35,14 @@ class EvalReport:
 
 
 def _to_index(label: int, num_known: int) -> int:
-    return num_known if label == UNKNOWN else label
+    """Confusion-matrix index of a label; UNKNOWN is the last one."""
+    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+        if label == UNKNOWN:
+            return num_known
+        if 0 <= label < num_known:
+            return int(label)
+    raise ValueError(
+        f"label {label!r} is neither a known class 0..{num_known - 1} nor UNKNOWN ({UNKNOWN})")
 
 
 def accuracies(
@@ -43,7 +50,8 @@ def accuracies(
 ) -> tuple[float | None, float | None, np.ndarray]:
     """Macro per-class recall over known classes, unknown recall, and the
     confusion matrix (unknown mapped to the last index). Accuracies absent
-    from the truth set are reported as None."""
+    from the truth set are reported as None. Raises on a label outside
+    0..num_known-1 and UNKNOWN."""
     if len(predictions) != len(truths) or not truths:
         raise ValueError("predictions and truths must be equal-length, nonempty")
     confusion = np.zeros((num_known + 1, num_known + 1), dtype=np.int64)

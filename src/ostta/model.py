@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open
 from .numeric import l2_normalize
 
 _CKPT_MAGIC = "ostta-ckpt-v1"
@@ -147,21 +148,17 @@ def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> M
     return ModelGrads(dws, dbs, dhead)
 
 
-def head_logits(params: ModelParams, z: np.ndarray) -> np.ndarray:
-    """Logits of the linear head applied directly to an embedding."""
-    return params.head @ np.asarray(z, dtype=np.float64)
-
-
 def save_checkpoint(params: ModelParams, path: str) -> None:
     """Header line (JSON) + raw little-endian float64 dumps, row-major,
-    in layer order then head. Round-trips bit-exactly."""
+    in layer order then head. Round-trips bit-exactly. Written through a
+    temporary file, so a crash keeps the old checkpoint."""
     header = {
         "magic": _CKPT_MAGIC,
         "layer_shapes": [list(w.shape) for w in params.weights],
         "activations": params.activations,
         "head_shape": list(params.head.shape),
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         for w, b in zip(params.weights, params.biases):
             fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())

@@ -1,4 +1,4 @@
-"""Vector primitives: normalization and temperature softmax.
+"""Vector primitives: normalization, softmax and log-sum-exp.
 
 All functions are pure and act along the last axis, so a 1-D array is one
 vector and a 2-D array is a batch of row vectors.
@@ -26,11 +26,9 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def softmax(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Temperature softmax, stable under large logits via max-subtraction."""
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    z = np.asarray(logits, dtype=np.float64) / tau
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax, stable under large logits via max-subtraction."""
+    z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Sample
+from .data import Sample, atomic_open, read_labelled_csv
 from .losses import LossConfig, ce_loss, ugd_loss
 from .model import ModelGrads, ModelParams, backward, forward
 from .numeric import l2_normalize
@@ -122,29 +122,19 @@ def extract_bank(params: ModelParams, train_set: list[Sample]) -> EmbeddingBank:
 
 def save_bank(bank: EmbeddingBank, path: str) -> None:
     """Bank entries as CSV plus a `<path>.proto.csv` prototype sidecar."""
-    dim = bank.embeddings.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"z{i}" for i in range(dim)] + ["label"])
-        for z, lab in zip(bank.embeddings, bank.labels):
-            writer.writerow([repr(float(v)) for v in z] + [str(int(lab))])
-    with open(path + ".proto.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"z{i}" for i in range(dim)] + ["label"])
-        for k, p in enumerate(bank.prototypes):
-            writer.writerow([repr(float(v)) for v in p] + [str(k)])
+    header = [f"z{i}" for i in range(bank.embeddings.shape[1])] + ["label"]
+    for p, vectors, labels in ((path, bank.embeddings, bank.labels),
+                               (path + ".proto.csv", bank.prototypes, range(len(bank.prototypes)))):
+        with atomic_open(p, newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for z, lab in zip(vectors, labels):
+                writer.writerow([repr(float(v)) for v in z] + [str(int(lab))])
 
 
 def load_bank(path: str) -> EmbeddingBank:
     def read(p: str) -> tuple[np.ndarray, np.ndarray]:
-        rows, labs = [], []
-        with open(p, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            dim = len(header) - 1
-            for row in reader:
-                rows.append([float(v) for v in row[:dim]])
-                labs.append(int(row[dim]))
+        rows, labs = read_labelled_csv(p, int)
         return np.array(rows), np.array(labs, dtype=np.int64)
 
     embeddings, labels = read(path)

@@ -10,14 +10,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN
+from .data import UNKNOWN, atomic_open
 from .knn import KnnIndex, build_index, query
-from .model import ModelParams, forward, head_logits
+from .model import ModelParams, forward
 from .numeric import l2_normalize
 from .trainer import EmbeddingBank
 
@@ -125,7 +124,7 @@ def update_target_prototype(state: TurState, k: int, z_t: np.ndarray) -> None:
 def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
     """Add z_t to the running sum of the head's predicted class and refresh
     that class's follow-up prototype, the normalized mean. Returns the class."""
-    k = int(np.argmax(head_logits(state.params, z_t)))
+    k = int(np.argmax(state.params.head @ z_t))
     state.memory_sum[k] += z_t
     state.memory_count[k] += 1
     mean = state.memory_sum[k] / state.memory_count[k]
@@ -208,10 +207,8 @@ def save_snapshot(state: TurState, path: str) -> None:
         "followup_prototypes": state.followup_prototypes.tolist(),
         "config": dataclasses.asdict(state.config),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def load_snapshot(path: str, bank: EmbeddingBank, params: ModelParams) -> TurState:

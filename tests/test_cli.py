@@ -12,7 +12,6 @@ from ostta.cli import (
     _arm_train_config,
     _checkpoint_hash,
     config_from_dict,
-    config_to_dict,
     main,
     run_experiment,
 )
@@ -36,7 +35,7 @@ def _small_config(**overrides):
 
 def test_config_round_trip():
     cfg = _small_config(stream_seeds=(0, 1), arms=("ce", "art"))
-    payload = config_to_dict(cfg)
+    payload = dataclasses.asdict(cfg)
     restored = config_from_dict(json.loads(json.dumps(payload)))
     assert restored == cfg
 
@@ -142,7 +141,7 @@ def test_run_experiment_retrains_when_bank_missing(tmp_path):
 
 def test_cli_end_to_end_pipeline(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config_to_dict(_small_config())))
+    config_path.write_text(json.dumps(dataclasses.asdict(_small_config())))
     data_dir = tmp_path / "data"
     work = tmp_path / "work"
 
@@ -178,7 +177,7 @@ def test_cli_end_to_end_pipeline(tmp_path):
 
 def test_cli_run_and_ablate(tmp_path, capsys):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config_to_dict(_small_config())))
+    config_path.write_text(json.dumps(dataclasses.asdict(_small_config())))
     outdir = tmp_path / "out"
     assert main(["ablate", "--config", str(config_path),
                  "--outdir", str(outdir), "--arms", "ce,ugd"]) == 0
@@ -192,11 +191,34 @@ def test_cli_error_reporting(tmp_path, capsys):
     outdir.mkdir()
     (outdir / "occupied.txt").write_text("x")
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config_to_dict(_small_config())))
+    config_path.write_text(json.dumps(dataclasses.asdict(_small_config())))
     code = main(["run", "--config", str(config_path), "--outdir", str(outdir)])
     assert code == 1
     err = capsys.readouterr().err
     assert json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"tur": 5}, "config.tur"),
+    ({"train": {"loss": [1.0]}}, "config.train.loss"),
+    ([], "config"),
+])
+def test_cli_rejects_config_section_that_is_not_an_object(tmp_path, capsys, payload, where):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    code = main(["run", "--config", str(config_path), "--outdir", str(tmp_path / "out")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{where} must be a JSON object")
+
+
+def test_cli_eval_rejects_label_outside_the_classes(tmp_path, capsys):
+    steps = tmp_path / "steps.ndjson"
+    steps.write_text("".join(json.dumps({"pred": k, "true": k}) + "\n" for k in (2, 0, 1)))
+    code = main(["eval", "--steps", str(steps), "--num-known", "2",
+                 "--report-out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert "label 2 " in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_arm_choices_enforced(tmp_path, capsys):

@@ -9,6 +9,7 @@ from ostta.data import (
     Sample,
     ShiftSpec,
     apply_shift,
+    atomic_open,
     generate_blobs,
     load_csv,
     make_stream,
@@ -122,3 +123,38 @@ def test_csv_round_trip(tmp_path):
     for a, b in zip(test, loaded):
         np.testing.assert_array_equal(a.features, b.features)
         assert a.label == b.label
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("1.0,0", "2 columns, the header has 3"),
+    ("1.0,2.0,0,0", "4 columns, the header has 3"),
+    ("1.0,x,0", "cannot parse"),
+    ("1.0,2.0,seven", "cannot parse"),
+    ("nan,2.0,0", "non-finite"),
+    ("1.0,-inf,unknown", "non-finite"),
+])
+def test_load_csv_rejects_malformed_row(tmp_path, row, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,0\n{row}\n3.0,4.0,1\n")
+    with pytest.raises(ValueError, match=f"bad.csv, row 3: {problem}"):
+        load_csv(str(path))
+
+
+def test_load_csv_rejects_missing_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv: the header"):
+        load_csv(str(path))
+
+
+def test_atomic_open_keeps_the_old_file_on_a_failed_write(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(path)) as fh:
+            fh.write("partial")
+            raise RuntimeError("crash mid-write")
+    assert path.read_text() == "old"
+    with atomic_open(str(path)) as fh:
+        fh.write("new")
+    assert path.read_text() == "new"

@@ -22,7 +22,7 @@ def _random_bank(n, dim, seed):
 
 
 def test_brute_force_oracle():
-    """Backend output must match a from-scratch sort of all similarities."""
+    """Query output must match a from-scratch sort of every similarity."""
     rng = np.random.default_rng(0)
     bank = _random_bank(100, 8, 1)
     index = build_index(bank, k=10)
@@ -33,55 +33,15 @@ def test_brute_force_oracle():
         # oracle: sort by (-sim, id)
         oracle = sorted(range(100), key=lambda i: (-sims[i], i))[:10]
         assert hood.indices.tolist() == oracle
-        np.testing.assert_allclose(hood.similarities, sims[oracle], atol=1e-12)
-
-
-def test_backends_agree_bitwise():
-    rng = np.random.default_rng(2)
-    for n, k, bs in [(100, 10, 64), (100, 10, 7), (257, 25, 64), (64, 64, 64)]:
-        bank = _random_bank(n, 6, n + k)
-        brute = build_index(bank, k=k, backend="brute")
-        part = build_index(bank, k=k, backend="partitioned")
-        part.block_size = bs
-        for _ in range(10):
-            z = l2_normalize(rng.normal(size=6))
-            a, b = query(brute, z), query(part, z)
-            # both backends select from one similarity product
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.similarities, b.similarities)
-            assert np.array_equal(a.centroid, b.centroid)
+        assert np.all(np.diff(sims[hood.indices]) <= 0)
 
 
 def test_tie_break_prefers_lower_index():
-    # duplicate embeddings produce exactly tied similarities
+    # duplicate embeddings produce exactly tied cosine scores
     e = l2_normalize(np.array([1.0, 1.0]))
     bank = _bank_from([e, e, e, [1.0, 0.0]])
-    for backend in ("brute", "partitioned"):
-        index = build_index(bank, k=3, backend=backend)
-        hood = query(index, e)
-        assert hood.indices.tolist() == [0, 1, 2]
-
-
-def test_backends_agree_on_duplicate_rows():
-    # tie groups that straddle a block's k-th place: a block must pass the
-    # whole group on, or the merge cannot restore ascending-id order
-    rng = np.random.default_rng(0)
-    base = np.stack([l2_normalize(v) for v in rng.normal(size=(20, 4))])
-    bank = _bank_from(base[rng.integers(20, size=128)])
-    brute = build_index(bank, k=10, backend="brute")
-    part = build_index(bank, k=10, backend="partitioned")
-    for _ in range(200):
-        z = l2_normalize(rng.normal(size=4))
-        assert np.array_equal(query(brute, z).indices, query(part, z).indices)
-
-
-def test_similarities_non_increasing():
-    rng = np.random.default_rng(3)
-    bank = _random_bank(50, 4, 4)
-    index = build_index(bank, k=12)
-    for _ in range(10):
-        hood = query(index, l2_normalize(rng.normal(size=4)))
-        assert np.all(np.diff(hood.similarities) <= 0)
+    hood = query(build_index(bank, k=3), e)
+    assert hood.indices.tolist() == [0, 1, 2]
 
 
 def test_k_equals_one_returns_nearest():
@@ -111,8 +71,6 @@ def test_build_index_validation():
         build_index(bank, k=0)
     with pytest.raises(ValueError):
         build_index(bank, k=6)
-    with pytest.raises(ValueError):
-        build_index(bank, k=2, backend="approximate")
 
 
 def test_query_requires_unit_vector():
@@ -142,28 +100,23 @@ def test_top_k_equals_full_stable_argsort(seed, n, m, levels, data):
     # few distinct values, so tie groups straddle the k-th place
     sims = np.random.default_rng(seed).integers(levels, size=(n, m)) / levels - 0.5
     k = data.draw(st.integers(1, m))
-    pos, values = _top_k(sims, k)
-    assert np.array_equal(pos, _stable_top_k(sims, k))
-    assert np.array_equal(values, np.take_along_axis(sims, pos, axis=1))
+    assert np.array_equal(_top_k(sims, k), _stable_top_k(sims, k))
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 12), size=st.integers(1, 150),
        dim=st.integers(2, 6), n=st.integers(1, 5), data=st.data())
-def test_backends_equal_stable_argsort_on_duplicate_rows(seed, distinct, size, dim, n, data):
+def test_query_equals_stable_argsort_on_duplicate_rows(seed, distinct, size, dim, n, data):
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(distinct, dim))
     bank = _bank_from(base[rng.integers(distinct, size=size)])
     k = data.draw(st.integers(1, size))
-    block = data.draw(st.integers(1, 70))
     z = l2_normalize(rng.normal(size=(n, dim)))
     z[0] = bank.embeddings[rng.integers(size)]  # a query exactly on a tie group
     emb = bank.embeddings
-    for backend in ("brute", "partitioned"):
-        index = build_index(bank, k=k, backend=backend)
-        index.block_size = block
-        # each oracle sorts the similarity product the query itself computes
-        assert np.array_equal(query(index, z).indices, _stable_top_k(z @ emb.T, k)), backend
-        for row in z:  # the one-row case
-            want = _stable_top_k(row[None] @ emb.T, k)[0]
-            assert np.array_equal(query(index, row).indices, want), backend
+    index = build_index(bank, k=k)
+    # each oracle sorts the similarity product the query itself computes
+    assert np.array_equal(query(index, z).indices, _stable_top_k(z @ emb.T, k))
+    for row in z:  # the one-row case
+        want = _stable_top_k(row[None] @ emb.T, k)[0]
+        assert np.array_equal(query(index, row).indices, want)

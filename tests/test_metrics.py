@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostta.data import UNKNOWN
 from ostta.metrics import accuracies, decision_grid, evaluate, h_score, save_grid
@@ -69,6 +71,33 @@ def test_accuracies_validation():
         accuracies([0], [0, 1], 2)
     with pytest.raises(ValueError):
         accuracies([], [], 2)
+
+
+def test_accuracies_reject_labels_outside_the_classes():
+    # class 2 does not exist with two known classes; it must not count as unknown
+    with pytest.raises(ValueError, match="label 2 "):
+        evaluate([2, 0, 1], [2, 0, 1], num_known=2)
+    for bad in (-2, 5, 1.5, True, "0"):
+        with pytest.raises(ValueError, match=f"label {bad!r} "):
+            accuracies([bad, 0, 1], [0, 0, 1], 2)
+        with pytest.raises(ValueError, match=f"label {bad!r} "):
+            accuracies([0, 0, 1], [0, bad, 1], 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_known=st.integers(1, 5), data=st.data())
+def test_evaluate_confusion_and_accuracy_invariants(num_known, data):
+    label = st.sampled_from([UNKNOWN, *range(num_known)])
+    n = data.draw(st.integers(1, 60))
+    truths = data.draw(st.lists(label, min_size=n, max_size=n))
+    preds = data.draw(st.lists(label, min_size=n, max_size=n))
+    rep = evaluate(preds, truths, num_known)
+    assert rep.n == n and rep.confusion.sum() == n
+    for k in range(num_known):
+        assert rep.confusion[k].sum() == truths.count(k)
+    assert rep.confusion[num_known].sum() == truths.count(UNKNOWN)
+    for acc in (rep.acc_known, rep.acc_unknown, rep.h_score):
+        assert acc is None or 0.0 <= acc <= 1.0
 
 
 def test_evaluate_report():

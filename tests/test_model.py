@@ -5,7 +5,6 @@ from ostta.losses import LossConfig, ce_loss, ugd_loss
 from ostta.model import (
     backward,
     forward,
-    head_logits,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -71,12 +70,6 @@ def test_forward_hidden_layers_are_tanh_bounded():
     for a in trace.activations[:-1]:
         assert np.abs(a).max() <= 1.0
     assert np.isfinite(trace.logits).all()
-
-
-def test_head_logits_matches_forward_on_normalized_h():
-    p = init_model(2, 8, 3, 0)
-    trace = forward(p, np.array([1.0, 2.0]))
-    np.testing.assert_allclose(head_logits(p, trace.z), p.head @ trace.z, atol=1e-12)
 
 
 @pytest.mark.parametrize("loss_name", ["ce", "ugd"])
@@ -147,6 +140,19 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     save_checkpoint(p, str(a))
     save_checkpoint(p, str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_failing_mid_write_keeps_the_old_file(tmp_path):
+    p = init_model(2, 8, 3, 7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(p, str(path))
+    before = path.read_bytes()
+    broken = p.copy()
+    broken.head = np.full(p.head.shape, "x", dtype=object)  # fails after the layers
+    with pytest.raises(ValueError):
+        save_checkpoint(broken, str(path))
+    assert path.read_bytes() == before
+    assert np.array_equal(load_checkpoint(str(path)).head, p.head)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -5,6 +5,7 @@ from ostta.data import BlobSpec, Sample, generate_blobs
 from ostta.losses import LossConfig
 from ostta.model import forward, init_model
 from ostta.trainer import (
+    EmbeddingBank,
     TrainConfig,
     extract_bank,
     load_bank,
@@ -178,3 +179,35 @@ def test_bank_round_trip(tmp_path):
     assert np.array_equal(bank.embeddings, loaded.embeddings)
     assert np.array_equal(bank.labels, loaded.labels)
     assert np.array_equal(bank.prototypes, loaded.prototypes)
+
+
+def test_load_bank_rejects_malformed_rows(tmp_path):
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    path = tmp_path / "bank.csv"
+    save_bank(extract_bank(params, _tiny_set()), str(path))
+    good = path.read_text().splitlines()
+    short = good[:2] + [good[2].rsplit(",", 2)[0]]  # a row cut at a comma
+    path.write_text("\n".join(short) + "\n")
+    with pytest.raises(ValueError, match="bank.csv, row 3: 3 columns, the header has 5"):
+        load_bank(str(path))
+    path.write_text("\n".join(good) + "\n")
+    proto = tmp_path / "bank.csv.proto.csv"
+    lines = proto.read_text().splitlines()
+    lines[1] = "nan" + lines[1][lines[1].index(","):]
+    proto.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="proto.csv, row 2: non-finite"):
+        load_bank(str(path))
+
+
+def test_save_bank_failing_mid_write_keeps_the_old_files(tmp_path):
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    bank = extract_bank(params, _tiny_set())
+    path = tmp_path / "bank.csv"
+    save_bank(bank, str(path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    broken = EmbeddingBank(bank.embeddings * 2, [0, 1, None], bank.prototypes)
+    with pytest.raises(TypeError):  # int(None) on the third row
+        save_bank(broken, str(path))
+    for name, data in before.items():
+        assert (tmp_path / name).read_bytes() == data
+    assert np.array_equal(load_bank(str(path)).embeddings, bank.embeddings)
