@@ -36,6 +36,16 @@ def test_brute_force_oracle():
         assert np.all(np.diff(sims[hood.indices]) <= 0)
 
 
+def test_similarities_non_increasing():
+    rng = np.random.default_rng(3)
+    bank = _random_bank(50, 4, 4)
+    index = build_index(bank, k=12)
+    for _ in range(10):
+        z = l2_normalize(rng.normal(size=4))
+        hood = query(index, z)
+        assert np.all(np.diff(bank.embeddings[hood.indices] @ z) <= 0)
+
+
 def test_tie_break_prefers_lower_index():
     # duplicate embeddings produce exactly tied cosine scores
     e = l2_normalize(np.array([1.0, 1.0]))
