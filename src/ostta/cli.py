@@ -34,7 +34,7 @@ from .data import (
 from .losses import LossConfig
 from .metrics import decision_grid, evaluate, save_grid
 from .model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, extract_bank, load_bank, save_bank, train
+from .trainer import TrainConfig, extract_bank, load_bank, save_bank, train_many
 from .tur import Prediction, TurConfig, init_tur, predict_frozen, run_stream, save_snapshot
 
 ARMS = ("ce", "ugd_no_ua", "ugd_no_sce", "ugd", "art")
@@ -93,11 +93,30 @@ def _build(cls, payload: dict, path: str):
         ftype = hints.get(name)
         if dataclasses.is_dataclass(ftype):
             kwargs[name] = _build(ftype, value, f"{path}.{name}")
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
         else:
-            kwargs[name] = value
+            kwargs[name] = _leaf(value, ftype, f"{path}.{name}")
     return cls(**kwargs)
+
+
+def _leaf(value, hint, path: str):
+    """value checked against its field's type hint, a JSON list becoming a
+    tuple. An int passes as a float; a bool passes only as a bool."""
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a JSON list, got {type(value).__name__}")
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ValueError(f"{path} must hold {len(kinds)} values, got {len(value)}")
+        return tuple(_leaf(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kinds)))
+    if hint is float:
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is hint
+    if not ok:
+        raise ValueError(f"{path} must be {hint.__name__}, got {type(value).__name__} {value!r}")
+    return value
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
@@ -138,22 +157,32 @@ def _argmax_labels(params: ModelParams, x: np.ndarray) -> list[int]:
     return np.where(k == params.num_known, UNKNOWN, k).tolist()
 
 
-def _train_cached(cfg: ExperimentConfig, arm: str, train_set, outdir: str):
-    train_cfg = _arm_train_config(cfg.train, arm)
-    key = _checkpoint_hash(cfg, train_cfg)
-    ckpt = os.path.join(outdir, f"model_{key}.ckpt")
-    bank_path = os.path.join(outdir, f"bank_{key}.csv")
-    if all(os.path.exists(p) for p in (ckpt, bank_path, bank_path + ".proto.csv")):
-        return load_checkpoint(ckpt), load_bank(bank_path)
-    params = init_model(
-        cfg.blob.dim, cfg.model.embed_dim, cfg.blob.num_known,
-        cfg.model.seed, hidden=cfg.model.hidden,
-    )
-    params, _history = train(params, train_set, train_cfg)
-    bank = extract_bank(params, train_set)
-    save_checkpoint(params, ckpt)
-    save_bank(bank, bank_path)
-    return params, bank
+def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
+    """(params, bank) per arm. Every distinct training config whose
+    checkpoint, bank or prototype sidecar is missing from outdir is trained
+    in one lockstep `train_many` call and then cached; the others load from
+    the cache. Nothing is written unless every missing config trains."""
+    configs = {arm: _arm_train_config(cfg.train, arm) for arm in arms}
+    keys = {arm: _checkpoint_hash(cfg, c) for arm, c in configs.items()}
+    ckpts = {key: os.path.join(outdir, f"model_{key}.ckpt") for key in keys.values()}
+    banks = {key: os.path.join(outdir, f"bank_{key}.csv") for key in keys.values()}
+    missing = {key: configs[arm] for arm, key in keys.items()
+               if not all(map(os.path.exists, (ckpts[key], banks[key], banks[key] + ".proto.csv")))}
+    models = {}
+    if missing:
+        params = init_model(
+            cfg.blob.dim, cfg.model.embed_dim, cfg.blob.num_known,
+            cfg.model.seed, hidden=cfg.model.hidden,
+        )
+        trained = train_many(params, train_set, list(missing.values()))
+        for key, (params, _history) in zip(missing, trained):
+            models[key] = params, extract_bank(params, train_set)
+        for key, (params, bank) in models.items():
+            save_checkpoint(params, ckpts[key])
+            save_bank(bank, banks[key])
+    for key in ckpts.keys() - models.keys():
+        models[key] = load_checkpoint(ckpts[key]), load_bank(banks[key])
+    return {arm: models[key] for arm, key in keys.items()}
 
 
 def _grid_bbox(samples: list[Sample], margin: float):
@@ -190,8 +219,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
     num_known = cfg.blob.num_known
     reports: dict[tuple[str, int], object] = {}
 
+    models = _train_cached(cfg, cfg.arms, train_set, outdir)
     for arm in cfg.arms:
-        params, bank = _train_cached(cfg, arm, train_set, outdir)
+        params, bank = models[arm]
         grid_state = None
         for seed in cfg.stream_seeds:
             stream = make_stream(shifted_test, seed)
@@ -242,7 +272,7 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     os.makedirs(args.outdir, exist_ok=True)
     train_set, _ = generate_blobs(cfg.blob)
-    params, bank = _train_cached(cfg, args.arm, train_set, args.outdir)
+    _train_cached(cfg, [args.arm], train_set, args.outdir)
     print(f"trained arm {args.arm}; checkpoint and bank cached in {args.outdir}")
     return 0
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +137,17 @@ def make_stream(dataset: list[Sample], order_seed: int) -> list[Sample]:
 @contextmanager
 def atomic_open(path: str, mode: str = "w", **kwargs):
     """Write through a temporary file that replaces path on a clean close, so
-    a crash mid-write leaves the old file (or none), never a cut one."""
+    a crash mid-write leaves the old file (or none), never a cut one. A
+    write that raises removes the temporary file and re-raises."""
     tmp = path + ".tmp"
-    with open(tmp, mode, **kwargs) as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def save_csv(dataset: list[Sample], path: str) -> None:

@@ -1,12 +1,19 @@
 """Training objectives over the (num_known + 1)-way logits.
 
-Every loss takes (n, num_known + 1) logits with (n,) labels and returns
-per-row values and the gradient w.r.t. the logits. A 1-D call is the
-one-row case and returns a float value. The unknown class sits at the last
-logit index. Ground-truth labels are always known indices.
+One computation, `loss`, serves every objective: the unknown-activation
+(UA) term plus the temperature-softened cross-entropy (SCE) term with a
+logit-norm penalty, each switched on or off and weighted per slice. Plain
+CE is the SCE term with tau 1, lam 0 and no UA term (`CE`). The logits are
+(n, num_known + 1) rows with (n,) labels, or carry a leading slice axis
+(A, n, num_known + 1) with one set of coefficients per slice; a 1-D call is
+the one-row case and returns a float value. `ce_loss`, `ua_loss`,
+`sce_loss` and `ugd_loss` are the one-config views of `loss`. The unknown
+class sits at the last logit index. Ground-truth labels are always known
+indices.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,46 +35,101 @@ class LossConfig:
             raise ValueError("lam must be non-negative")
 
 
-def _rows(logits, y) -> tuple[bool, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Whether the call is 1-D, the logits as an (n, K+1) matrix, and the
-    index of each row's ground-truth logit. Labels must be known indices."""
+# Standard cross-entropy over all num_known + 1 classes: SCE at tau 1, lam 0.
+CE = LossConfig(tau=1.0, lam=0.0, enable_ua=False, enable_sce=True)
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    """Coefficients of `loss`, shaped (A, 1) for A stacked slices or 0-d
+    for unstacked logits, so they broadcast over each slice's rows."""
+    tau: np.ndarray
+    lam: np.ndarray
+    ua: np.ndarray    # bool: UA term on
+    sce: np.ndarray   # bool: SCE term on
+
+    @staticmethod
+    def of(configs: LossConfig | Sequence[LossConfig]) -> "LossWeights":
+        """Weights of one config, or of one config per stacked slice."""
+        stacked = not isinstance(configs, LossConfig)
+        configs = list(configs) if stacked else [configs]
+        for config in configs:
+            if not (config.enable_ua or config.enable_sce):
+                raise ValueError("empty objective: both loss terms disabled")
+            if config.enable_sce:
+                config.validate()
+
+        def column(name: str, dtype) -> np.ndarray:
+            values = np.array([getattr(c, name) for c in configs], dtype=dtype)
+            return values[:, None] if stacked else values.reshape(())
+
+        return LossWeights(column("tau", np.float64), column("lam", np.float64),
+                           column("enable_ua", bool), column("enable_sce", bool))
+
+
+def check_labels(y: np.ndarray, num_known: int) -> None:
+    """Raise unless every label is a known index 0 <= y < num_known."""
+    outside = (y < 0) | (y >= num_known)
+    if np.any(outside):
+        raise ValueError(f"label outside known range [0, {num_known}): {np.unique(y[outside])}")
+
+
+def loss(logits, y, weights: LossWeights):
+    """Per-row values and dL/dlogits of the weighted UA + SCE objective.
+    Labels are not checked here; see `check_labels`. A disabled term is
+    selected away, not multiplied by zero, so its non-finite values cannot
+    reach the result. Values that overflow surface as non-finite results
+    for the caller to reject."""
     single = np.ndim(logits) == 1
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    logits = np.asarray(logits, dtype=np.float64)
+    if single:
+        logits = logits[None]
     y = np.atleast_1d(np.asarray(y))
-    num_known = logits.shape[1] - 1
-    if y.shape != logits.shape[:1]:
-        raise ValueError(f"{y.size} labels for {logits.shape[0]} logit rows")
-    if np.any((y < 0) | (y >= num_known)):
-        raise ValueError(f"label outside known range [0, {num_known}): {y}")
-    return single, logits, (np.arange(len(y)), y)
-
-
-def _result(single: bool, value: np.ndarray, grad: np.ndarray):
-    """A 1-D call returns a float value and a 1-D gradient."""
+    if y.shape != logits.shape[-2:-1]:
+        raise ValueError(f"{y.size} labels for {logits.shape[-2]} logit rows")
+    gt = (..., np.arange(len(y)), y)
+    tau = weights.tau[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # unknown activation: NLL of the unknown logit against every logit
+        # but the ground truth, which is masked with -inf (zero gradient)
+        masked = logits.copy()
+        masked[gt] = -np.inf
+        ua_value = logsumexp(masked) - logits[..., -1]
+        ua_grad = softmax(masked)
+        ua_grad[..., -1] -= 1.0
+        # softened CE plus lam * ||logits||; zero subgradient at the origin
+        scaled = logits / tau
+        sce_value = logsumexp(scaled) - scaled[gt]
+        sce_grad = softmax(scaled)
+        sce_grad[gt] -= 1.0
+        sce_grad /= tau
+        norm = np.sqrt((logits * logits).sum(axis=-1))  # np.linalg.norm's sum, minus its overhead
+        sce_value += weights.lam * norm
+        # a zero row is all zeros, so dividing it by 1 gives the zero subgradient
+        sce_grad += weights.lam[..., None] * logits / np.where(norm > 0, norm, 1.0)[..., None]
+    value = np.where(weights.ua, ua_value, 0.0) + np.where(weights.sce, sce_value, 0.0)
+    grad = (np.where(weights.ua[..., None], ua_grad, 0.0)
+            + np.where(weights.sce[..., None], sce_grad, 0.0))
     return (float(value[0]), grad[0]) if single else (value, grad)
+
+
+def _view(logits, y, config: LossConfig):
+    """`loss` for one config, with the labels checked."""
+    check_labels(np.asarray(y), np.shape(logits)[-1] - 1)
+    return loss(logits, y, LossWeights.of(config))
 
 
 def ce_loss(logits: np.ndarray, y: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Standard cross-entropy over all num_known + 1 classes."""
-    single, logits, gt = _rows(logits, y)
-    value = logsumexp(logits) - logits[gt]
-    grad = softmax(logits)
-    grad[gt] -= 1.0
-    return _result(single, value, grad)
+    return _view(logits, y, CE)
 
 
 def ua_loss(logits: np.ndarray, y: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Unknown-activation loss: negative log-likelihood of the unknown
     logit against every logit except the ground truth. The ground-truth
-    logit is masked with -inf, so its gradient is exactly zero; the unknown
-    gradient is always negative, pulling that logit up under descent."""
-    single, logits, gt = _rows(logits, y)
-    masked = logits.copy()
-    masked[gt] = -np.inf
-    value = logsumexp(masked) - logits[:, -1]
-    grad = softmax(masked)
-    grad[:, -1] -= 1.0
-    return _result(single, value, grad)
+    gradient is exactly zero; the unknown gradient is always negative,
+    pulling that logit up under descent."""
+    return _view(logits, y, LossConfig(enable_sce=False))
 
 
 def sce_loss(
@@ -75,18 +137,7 @@ def sce_loss(
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Temperature-softened cross-entropy plus an L2 penalty on the logit
     vector. Penalty subgradient at the origin is taken as zero."""
-    config.validate()
-    single, logits, gt = _rows(logits, y)
-    scaled = logits / config.tau
-    value = logsumexp(scaled) - scaled[gt]
-    grad = softmax(scaled)
-    grad[gt] -= 1.0
-    grad /= config.tau
-    norm = np.linalg.norm(logits, axis=1)
-    value += config.lam * norm
-    # a zero row is all zeros, so dividing it by 1 gives the zero subgradient
-    grad += config.lam * logits / np.where(norm > 0, norm, 1.0)[:, None]
-    return _result(single, value, grad)
+    return _view(logits, y, LossConfig(config.tau, config.lam, enable_ua=False))
 
 
 def ugd_loss(
@@ -94,13 +145,4 @@ def ugd_loss(
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Sum of the unknown-activation and softened-CE terms; either side can
     be ablated via config flags, but not both."""
-    if not (config.enable_ua or config.enable_sce):
-        raise ValueError("empty objective: both loss terms disabled")
-    value, grad = 0.0, 0.0
-    if config.enable_ua:
-        v, g = ua_loss(logits, y)
-        value, grad = value + v, grad + g
-    if config.enable_sce:
-        v, g = sce_loss(logits, y, config)
-        value, grad = value + v, grad + g
-    return value, grad
+    return _view(logits, y, config)

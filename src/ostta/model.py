@@ -1,6 +1,10 @@
 """Feed-forward encoder plus bias-free linear head, with hand-written
 forward and backward passes over batches of input rows.
 
+`ModelParams.stack` puts several models on a leading axis of every array;
+forward and backward then run all of them in one pass of 3-D matrix
+products, and an unstacked model is the no-axis case of the same code.
+
 The head has num_known + 1 rows; the last row is the unknown class. Logits
 are computed from the raw penultimate feature h, while the normalized
 embedding z = h / ||h|| feeds the embedding-space machinery.
@@ -27,23 +31,35 @@ class ModelParams:
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     @property
     def embed_dim(self) -> int:
-        return self.head.shape[1]
+        return self.head.shape[-1]
 
     @property
     def num_known(self) -> int:
-        return self.head.shape[0] - 1
+        return self.head.shape[-2] - 1
 
-    def copy(self) -> "ModelParams":
+    @staticmethod
+    def stack(models: list["ModelParams"]) -> "ModelParams":
+        """One ModelParams whose arrays carry a leading axis, one slice per
+        model of the same shapes and activations; forward and backward act
+        on every slice at once."""
         return ModelParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-            self.head.copy(),
+            [np.stack(ws) for ws in zip(*(m.weights for m in models))],
+            [np.stack(bs) for bs in zip(*(m.biases for m in models))],
+            list(models[0].activations),
+            np.stack([m.head for m in models]),
         )
+
+    def unstack(self) -> list["ModelParams"]:
+        """The models of a stacked ModelParams, as copies."""
+        return [
+            ModelParams([w[a].copy() for w in self.weights], [b[a].copy() for b in self.biases],
+                        list(self.activations), self.head[a].copy())
+            for a in range(self.head.shape[0])
+        ]
 
     def param_bytes(self) -> bytes:
         chunks = [w.tobytes() for w in self.weights]
@@ -111,28 +127,32 @@ def _apply_act(pre: np.ndarray, act: str) -> np.ndarray:
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     """Forward pass over the rows of an (n, input_dim) matrix. A 1-D x is
-    the one-row case and gives a trace of 1-D arrays. Raises on a zero or
-    non-finite embedding row."""
+    the one-row case and gives a trace of 1-D arrays; stacked params give a
+    trace with a leading slice axis, every slice fed the same rows. Raises
+    on a zero or non-finite embedding row."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.input_dim:
         raise ValueError(f"input dim {x.shape[-1]} != model dim {params.input_dim}")
     acts = []
     a = x
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        a = _apply_act(a @ w.T + b, act)
+        # a stacked bias (A, out) broadcasts over its slice's rows
+        a = _apply_act(a @ w.swapaxes(-1, -2) + (b[:, None] if b.ndim == 2 else b), act)
         acts.append(a)
-    return ForwardTrace(x, acts, a, l2_normalize(a), a @ params.head.T)
+    return ForwardTrace(x, acts, a, l2_normalize(a), a @ params.head.swapaxes(-1, -2))
 
 
 def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> ModelGrads:
     """Gradients of the summed row losses w.r.t. all parameters, given
-    dL/dlogits with the shape of trace.logits."""
+    dL/dlogits with the shape of trace.logits; per slice for stacked
+    params."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != trace.logits.shape:
         raise ValueError("dlogits shape mismatch")
-    dlogits = np.atleast_2d(dlogits)
-    inputs = [np.atleast_2d(a) for a in (trace.x, *trace.activations)]
-    dhead = dlogits.T @ inputs[-1]
+    inputs = [trace.x, *trace.activations]
+    if dlogits.ndim == 1:
+        dlogits, inputs = dlogits[None], [a[None] for a in inputs]
+    dhead = dlogits.swapaxes(-1, -2) @ inputs[-1]
     da = dlogits @ params.head
     n = len(params.weights)
     dws: list[np.ndarray] = [None] * n  # type: ignore[list-item]
@@ -142,9 +162,10 @@ def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> M
             dpre = da * (1.0 - inputs[i + 1] ** 2)
         else:
             dpre = da
-        dws[i] = dpre.T @ inputs[i]
-        dbs[i] = dpre.sum(axis=0)
-        da = dpre @ params.weights[i]
+        dws[i] = dpre.swapaxes(-1, -2) @ inputs[i]
+        dbs[i] = dpre.sum(axis=-2)
+        if i:
+            da = dpre @ params.weights[i]
     return ModelGrads(dws, dbs, dhead)
 
 

@@ -1,13 +1,14 @@
-"""Mini-batch momentum-SGD training and source embedding bank extraction."""
+"""Mini-batch momentum-SGD training, several configs in lockstep, and source
+embedding bank extraction."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import Sample, atomic_open, read_labelled_csv
-from .losses import LossConfig, ce_loss, ugd_loss
+from .losses import CE, LossConfig, LossWeights, check_labels, loss
 from .model import ModelGrads, ModelParams, backward, forward
 from .numeric import l2_normalize
 
@@ -53,57 +54,91 @@ def train(
     config: TrainConfig,
 ) -> tuple[ModelParams, list[float]]:
     """Momentum SGD over shuffled mini-batches, one batched forward/backward
-    per batch; returns new params and the mean loss per epoch. Aborts on a
-    non-finite loss or a zero or non-finite embedding."""
-    config.validate()
-    features, labels = _stack(train_set)
-    params = params.copy()
-    velocity = ModelGrads.zeros_like(params)
-    rng = np.random.default_rng(config.shuffle_seed)
-    history: list[float] = []
-    for epoch in range(config.epochs):
+    per batch; returns new params and the mean loss per epoch. The
+    one-config case of `train_many`."""
+    return train_many(params, train_set, [config])[0]
+
+
+def train_many(
+    params: ModelParams,
+    train_set: list[Sample],
+    configs: list[TrainConfig],
+) -> list[tuple[ModelParams, list[float]]]:
+    """Train one copy of params per config in lockstep: the copies are
+    stacked on a leading axis, and each mini-batch takes one forward, one
+    loss call and one backward over all of them. The configs may differ
+    only in `objective` and `loss`; each slice then follows exactly the
+    trajectory it would follow alone. Returns (params, mean loss per epoch)
+    per config, in order. Aborts on a non-finite loss or a zero or
+    non-finite embedding, naming the epoch and the config."""
+    if not configs:
+        raise ValueError("need at least one train config")
+    for config in configs:
+        config.validate()
+    shared = configs[0]  # every field but the objective is the same in all
+    for f in fields(TrainConfig):
+        if f.name not in ("objective", "loss") and any(
+                getattr(c, f.name) != getattr(shared, f.name) for c in configs):
+            raise ValueError(f"configs trained together must share {f.name}")
+    weights = LossWeights.of([CE if c.objective == "ce" else c.loss for c in configs])
+    features, labels = _stack(train_set, params.num_known)
+    stacked = ModelParams.stack([params] * len(configs))
+    velocity = ModelGrads.zeros_like(stacked)
+    slots = [*zip(stacked.weights, velocity.weights), *zip(stacked.biases, velocity.biases),
+             (stacked.head, velocity.head)]
+    rng = np.random.default_rng(shared.shuffle_seed)
+    history: list[np.ndarray] = []
+    for epoch in range(shared.epochs):
         order = rng.permutation(len(train_set))
         epoch_losses: list[np.ndarray] = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for start in range(0, len(order), shared.batch_size):
+            batch = order[start : start + shared.batch_size]
             try:
-                trace = forward(params, features[batch])
+                trace = forward(stacked, features[batch])
             except ValueError as exc:
                 # overflowing parameters surface as non-normalizable
                 # embeddings before the loss itself goes non-finite
-                raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from exc
-            if config.objective == "ce":
-                values, dlogits = ce_loss(trace.logits, labels[batch])
-            else:
-                values, dlogits = ugd_loss(trace.logits, labels[batch], config.loss)
-            if not np.all(np.isfinite(values)):
-                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
+                bad = _first_failing_slice(stacked, features[batch])
+                raise RuntimeError(
+                    f"training diverged at epoch {epoch} for {configs[bad]}: {exc}") from exc
+            values, dlogits = loss(trace.logits, labels[batch], weights)
+            if not np.isfinite(values).all():
+                bad = int(np.argmin(np.isfinite(values).all(axis=-1)))
+                raise RuntimeError(
+                    f"training diverged: non-finite loss at epoch {epoch} for {configs[bad]}")
             epoch_losses.append(values)
             # gradient of the batch-mean loss
-            grad = backward(params, trace, dlogits / len(batch))
-            for i in range(len(params.weights)):
-                velocity.weights[i] = config.momentum * velocity.weights[i] + grad.weights[i]
-                velocity.biases[i] = config.momentum * velocity.biases[i] + grad.biases[i]
-                params.weights[i] -= config.learning_rate * velocity.weights[i]
-                params.biases[i] -= config.learning_rate * velocity.biases[i]
-            velocity.head = config.momentum * velocity.head + grad.head
-            params.head -= config.learning_rate * velocity.head
-        history.append(float(np.mean(np.concatenate(epoch_losses))))
-    return params, history
+            grad = backward(stacked, trace, dlogits / len(batch))
+            grads = [*grad.weights, *grad.biases, grad.head]
+            for (param, vel), g in zip(slots, grads):
+                vel *= shared.momentum
+                vel += g
+                param -= shared.learning_rate * vel
+        history.append(np.concatenate(epoch_losses, axis=-1).mean(axis=-1))
+    return [(p, [float(h[a]) for h in history]) for a, p in enumerate(stacked.unstack())]
 
 
-def _stack(train_set: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+def _first_failing_slice(stacked: ModelParams, x: np.ndarray) -> int:
+    """Index of the first slice whose own forward pass over x raises."""
+    for a, params in enumerate(stacked.unstack()):
+        try:
+            forward(params, x)
+        except ValueError:
+            return a
+    return 0
+
+
+def _stack(train_set: list[Sample], num_known: int) -> tuple[np.ndarray, np.ndarray]:
     """Features as an (n, d) matrix and labels as (n,) known indices."""
-    if any(s.label < 0 for s in train_set):
-        raise ValueError("train set must contain known labels only")
-    features = np.stack([s.features for s in train_set])
-    return features, np.array([s.label for s in train_set], dtype=np.int64)
+    labels = np.array([s.label for s in train_set], dtype=np.int64)
+    check_labels(labels, num_known)
+    return np.stack([s.features for s in train_set]), labels
 
 
 def extract_bank(params: ModelParams, train_set: list[Sample]) -> EmbeddingBank:
     """One normalized embedding per training sample (input order) plus
     renormalized per-class mean prototypes."""
-    features, labels = _stack(train_set)
+    features, labels = _stack(train_set, params.num_known)
     embeddings = np.concatenate([
         forward(params, features[i : i + _BANK_BLOCK]).z
         for i in range(0, len(features), _BANK_BLOCK)

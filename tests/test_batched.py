@@ -1,20 +1,25 @@
-"""Batched numerics equal the one-row case, over generated inputs.
+"""Batched numerics equal the one-row case, and stacked models equal one
+model at a time, over generated inputs.
 
 A matrix product sums in another order than a one-row product, so a row of
 a batched forward or backward may differ from the one-row call in the last
 bits of a float64. RTOL is set from that: far above float64 rounding over
 these sizes, far below any real error. The losses reduce each row on its
-own, so their rows must equal the one-row calls exactly.
+own, so their rows must equal the one-row calls exactly. A stacked model
+runs each slice through the same products as the model alone, so stacked
+forward, backward and lockstep training must equal the one-model calls
+bit for bit.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostta.cli import _argmax_labels
-from ostta.data import UNKNOWN
+from ostta.cli import _arm_train_config, _argmax_labels
+from ostta.data import UNKNOWN, BlobSpec, generate_blobs
 from ostta.losses import LossConfig, ce_loss, sce_loss, ua_loss, ugd_loss
 from ostta.metrics import decision_grid
-from ostta.model import backward, forward, init_model
+from ostta.model import ModelParams, backward, forward, init_model
+from ostta.trainer import TrainConfig, train, train_many
 
 RTOL = 1e-12
 
@@ -104,3 +109,48 @@ def test_model_grid_equals_per_point_argmax(seed, resolution, hidden):
     for x, y, label in grid:
         k = int(np.argmax(forward(params, np.array([x, y])).logits))
         assert label == (UNKNOWN if k == params.num_known else k)
+
+
+@props
+@given(seed=seeds, n=rows, hidden=hiddens, arms=st.integers(1, 5), scale=st.floats(0.01, 50.0))
+def test_stacked_forward_backward_equal_one_model_calls(seed, n, hidden, arms, scale):
+    first, rng = _model(seed, hidden)
+    models = [first] + [init_model(first.input_dim, first.embed_dim, first.num_known, seed + a,
+                                   hidden=hidden) for a in range(1, arms)]
+    stacked = ModelParams.stack(models)
+    assert [m.param_bytes() for m in stacked.unstack()] == [m.param_bytes() for m in models]
+    x = rng.normal(size=(n, first.input_dim)) * scale
+    dlogits = rng.normal(size=(arms, n, first.num_known + 1))
+    trace = forward(stacked, x)
+    grads = backward(stacked, trace, dlogits)
+    for a, params in enumerate(models):
+        one = forward(params, x)
+        for field in ("h", "z", "logits"):
+            assert np.array_equal(getattr(trace, field)[a], getattr(one, field))
+        for got, want in zip(trace.activations, one.activations):
+            assert np.array_equal(got[a], want)
+        g = backward(params, one, dlogits[a])
+        assert np.array_equal(grads.head[a], g.head)
+        for i in range(len(params.weights)):
+            assert np.array_equal(grads.weights[i][a], g.weights[i])
+            assert np.array_equal(grads.biases[i][a], g.biases[i])
+
+
+ARM_NAMES = ("ce", "ugd_no_ua", "ugd_no_sce", "ugd")
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds, arms=st.lists(st.sampled_from(ARM_NAMES), min_size=1, max_size=4, unique=True),
+       tau=st.floats(0.5, 10.0), lam=st.floats(0.0, 0.5), batch_size=st.integers(1, 9))
+def test_lockstep_slices_equal_one_config_training(seed, arms, tau, lam, batch_size):
+    train_set, _ = generate_blobs(BlobSpec(samples_per_cluster=6, seed=seed % 1000))
+    params = init_model(2, 4, 3, seed, hidden=(6,))
+    base = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=seed,
+                       loss=LossConfig(tau=tau, lam=lam))
+    configs = [_arm_train_config(base, arm) for arm in arms]
+    together = train_many(params, train_set, configs)
+    assert len(together) == len(configs)
+    for config, (got, history) in zip(configs, together):
+        want, want_history = train(params, train_set, config)
+        assert got.param_bytes() == want.param_bytes()
+        assert history == want_history

@@ -211,6 +211,67 @@ def test_cli_rejects_config_section_that_is_not_an_object(tmp_path, capsys, payl
     assert json.loads(capsys.readouterr().err)["error"].startswith(f"{where} must be a JSON object")
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"tur": {"k": "x"}}, "config.tur.k must be int, got str 'x'"),
+    ({"blob": {"samples_per_cluster": "5"}}, "config.blob.samples_per_cluster must be int"),
+    ({"train": {"epochs": True}}, "config.train.epochs must be int, got bool"),
+    ({"train": {"loss": {"enable_ua": 0}}}, "config.train.loss.enable_ua must be bool"),
+    ({"tur": {"query_vector_mode": 1}}, "config.tur.query_vector_mode must be str"),
+    ({"shift": {"noise_std": None}}, "config.shift.noise_std must be float"),
+    ({"model": {"hidden": [8, 2.5]}}, "config.model.hidden[1] must be int"),
+    ({"blob": {"center_box": [-8.0]}}, "config.blob.center_box must hold 2 values, got 1"),
+    ({"arms": "ce"}, "config.arms must be a JSON list, got str"),
+])
+def test_cli_rejects_config_leaf_of_the_wrong_type(tmp_path, capsys, payload, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(message)
+    assert not outdir.exists()  # failed at load time, before any training
+
+
+def test_config_leaf_float_accepts_int():
+    cfg = config_from_dict({"train": {"learning_rate": 1}, "blob": {"center_box": [-8, 8]}})
+    assert cfg.train.learning_rate == 1 and cfg.blob.center_box == (-8, 8)
+
+
+def test_run_experiment_trains_missing_configs_in_one_call(tmp_path, monkeypatch):
+    from ostta import cli
+
+    calls = []
+
+    def counting(params, train_set, configs):
+        calls.append([c.objective for c in configs])
+        return real(params, train_set, configs)
+
+    real = cli.train_many
+    monkeypatch.setattr(cli, "train_many", counting)
+    outdir = tmp_path / "out"
+    reports = run_experiment(_small_config(arms=ARMS), str(outdir))
+    # art reuses ugd's config: four distinct configs, one lockstep call
+    assert calls == [["ce", "ugd", "ugd", "ugd"]]
+    assert len([n for n in os.listdir(outdir) if n.endswith(".ckpt")]) == 4
+    ce = _checkpoint_hash(_small_config(), _arm_train_config(TrainConfig(epochs=2), "ce"))
+    os.remove(outdir / f"bank_{ce}.csv.proto.csv")
+    again = run_experiment(_small_config(arms=ARMS), str(outdir), force=True)
+    assert calls[1:] == [["ce"]]
+    assert {k: r.to_dict() for k, r in again.items()} == {k: r.to_dict() for k, r in reports.items()}
+
+
+def test_run_experiment_writes_no_cache_when_a_slice_diverges(tmp_path, capsys):
+    # tau so small that logits / tau overflow: the ugd slice diverges, ce does not
+    payload = dataclasses.asdict(_small_config(arms=("ce", "ugd", "art")))
+    payload["train"]["loss"]["tau"] = 1e-320
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "diverged" in error and "tau=1e-320" in error and "objective='ce'" not in error
+    assert os.listdir(outdir) == []
+
+
 def test_cli_eval_rejects_label_outside_the_classes(tmp_path, capsys):
     steps = tmp_path / "steps.ndjson"
     steps.write_text("".join(json.dumps({"pred": k, "true": k}) + "\n" for k in (2, 0, 1)))

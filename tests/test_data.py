@@ -155,6 +155,8 @@ def test_atomic_open_keeps_the_old_file_on_a_failed_write(tmp_path):
             fh.write("partial")
             raise RuntimeError("crash mid-write")
     assert path.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]  # no out.txt.tmp left
     with atomic_open(str(path)) as fh:
         fh.write("new")
     assert path.read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -1,8 +1,12 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ostta.losses import LossConfig, ce_loss, ugd_loss
 from ostta.model import (
+    ModelParams,
     backward,
     forward,
     init_model,
@@ -26,7 +30,7 @@ def _flat_grads(grads):
 
 
 def _set_flat(params, vec):
-    out = params.copy()
+    out = copy.deepcopy(params)
     pos = 0
     for w in out.weights:
         w[...] = vec[pos : pos + w.size].reshape(w.shape)
@@ -111,11 +115,18 @@ def test_backward_full_finite_difference(loss_name):
         assert np.linalg.norm(an - fd) / denom <= 1e-4
 
 
-def test_copy_is_deep():
-    p = init_model(2, 4, 3, 0)
-    q = p.copy()
-    q.head[0, 0] += 1.0
-    assert p.head[0, 0] != q.head[0, 0]
+def test_stack_and_unstack_copy_deeply():
+    models = [init_model(2, 4, 3, seed, hidden=(5, 6)) for seed in range(3)]
+    before = [m.param_bytes() for m in models]
+    stacked = ModelParams.stack(models)
+    assert stacked.head.shape == (3, 4, 4) and stacked.num_known == models[0].num_known
+    assert (stacked.input_dim, stacked.embed_dim) == (2, 4)
+    stacked.head[0, 0, 0] += 1.0
+    unstacked = stacked.unstack()
+    unstacked[1].weights[0][0, 0] += 1.0
+    assert [m.param_bytes() for m in models] == before
+    assert unstacked[1].param_bytes() != stacked.unstack()[1].param_bytes()
+    assert unstacked[2].param_bytes() == before[2]
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -147,8 +158,7 @@ def test_checkpoint_failing_mid_write_keeps_the_old_file(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(p, str(path))
     before = path.read_bytes()
-    broken = p.copy()
-    broken.head = np.full(p.head.shape, "x", dtype=object)  # fails after the layers
+    broken = dataclasses.replace(p, head=np.full(p.head.shape, "x", dtype=object))  # fails after the layers
     with pytest.raises(ValueError):
         save_checkpoint(broken, str(path))
     assert path.read_bytes() == before

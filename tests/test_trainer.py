@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ostta.trainer import (
     load_bank,
     save_bank,
     train,
+    train_many,
 )
 
 
@@ -89,6 +92,55 @@ def test_train_rejects_unknown_labels():
     bad = [Sample(np.array([0.0, 0.0]), -1)]
     with pytest.raises(ValueError):
         train(init_model(2, 4, 3, 0), bad, TrainConfig(epochs=1))
+
+
+def test_train_rejects_labels_beyond_the_known_classes():
+    bad = _tiny_set() + [Sample(np.array([0.5, 0.5]), 3)]
+    with pytest.raises(ValueError, match=r"known range \[0, 3\): \[3\]"):
+        train(init_model(2, 4, 3, 0), bad, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="known range"):  # checked even with no epochs to run
+        train_many(init_model(2, 4, 3, 0), bad,
+                   [TrainConfig(epochs=0), TrainConfig(epochs=0, objective="ce")])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 3), ("batch_size", 2), ("learning_rate", 0.5), ("momentum", 0.5), ("shuffle_seed", 1),
+])
+def test_train_many_rejects_configs_differing_outside_the_objective(field, value):
+    other = dataclasses.replace(TrainConfig(epochs=2, objective="ce"), **{field: value})
+    with pytest.raises(ValueError, match=f"must share {field}"):
+        train_many(init_model(2, 4, 3, 0, hidden=(8,)), _tiny_set(), [TrainConfig(epochs=2), other])
+
+
+def test_train_many_rejects_no_configs():
+    with pytest.raises(ValueError, match="at least one"):
+        train_many(init_model(2, 4, 3, 0, hidden=(8,)), _tiny_set(), [])
+
+
+@pytest.mark.parametrize("loss, what", [
+    # logits / tau overflow: the loss itself goes non-finite
+    (LossConfig(tau=1e-320), "non-finite loss at epoch 0"),
+    # a huge penalty gradient overflows the parameters: the next forward fails
+    (LossConfig(lam=1e300), "diverged at epoch 0"),
+])
+def test_train_many_names_the_diverging_config(loss, what):
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    good = TrainConfig(epochs=3, batch_size=2, objective="ce")
+    bad = TrainConfig(epochs=3, batch_size=2, loss=loss)
+    with pytest.raises(RuntimeError, match=what) as info:
+        train_many(params, _tiny_set(), [good, bad, good])
+    assert str(info.value).count(repr(bad)) == 1 and repr(good) not in str(info.value)
+    train_many(params, _tiny_set(), [good, good])  # the healthy slices alone train
+
+
+def test_disabled_loss_term_cannot_make_the_loss_non_finite():
+    # logits / tau overflow in the SCE term, which this config switches off
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    no_sce = TrainConfig(epochs=2, loss=LossConfig(enable_sce=False))
+    overflowing = TrainConfig(epochs=2, loss=LossConfig(tau=1e-320, enable_sce=False))
+    want, want_history = train(params, _tiny_set(), no_sce)
+    for got, history in train_many(params, _tiny_set(), [overflowing, no_sce]):
+        assert got.param_bytes() == want.param_bytes() and history == want_history
 
 
 def test_train_config_validation():
@@ -210,4 +262,5 @@ def test_save_bank_failing_mid_write_keeps_the_old_files(tmp_path):
         save_bank(broken, str(path))
     for name, data in before.items():
         assert (tmp_path / name).read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)  # no .tmp left
     assert np.array_equal(load_bank(str(path)).embeddings, bank.embeddings)
