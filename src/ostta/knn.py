@@ -49,13 +49,15 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
 
 def query(index: KnnIndex, z: np.ndarray) -> Neighborhood:
     """Neighborhood of each unit row of an (n, d) matrix; a 1-D z is the
-    one-row case and gives a neighborhood of 1-D arrays."""
+    one-row case and gives a neighborhood of 1-D arrays. Each row's
+    similarities are a one-row product of their own, so a row gets exactly
+    the bits of its 1-D call, whatever rows share the matrix."""
     z = np.asarray(z, dtype=np.float64)
     rows = z.reshape(-1, z.shape[-1])
     if not all(abs(n - 1.0) <= 1e-6 for n in np.sqrt((rows * rows).sum(axis=1)).tolist()):
         raise ValueError("query vector must be unit-norm")
     emb = index.bank.embeddings
-    ids = _top_k(rows @ emb.T, index.k)
+    ids = _top_k((rows[:, None, :] @ emb.T)[:, 0], index.k)
     mean = emb[ids].sum(axis=1) / index.k  # the bits of np.mean
     if z.ndim == 1:
         ids, mean = ids[0], mean[0]

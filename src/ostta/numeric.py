@@ -5,21 +5,22 @@ vector and a 2-D array is a batch of row vectors.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Scale v (or each row of v) to unit Euclidean norm. Raises on a zero
-    or non-finite vector."""
+    or non-finite vector. Every norm is a BLAS dot product, so each row
+    gets exactly the bits of its own 1-D call, whatever rows surround it."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
-        # numpy's dot-product norm: the online engine normalizes a few
-        # vectors per sample, and the row-wise reduction costs twice as much
-        norm = np.linalg.norm(v)
-        ok = 0.0 < norm < np.inf
+        norm = math.sqrt(v @ v)  # the bits of np.linalg.norm, at half its cost
+        ok = 0.0 < norm < math.inf
     else:
         with np.errstate(over="ignore"):  # an overflowed square is rejected below
-            norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+            norm = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
         ok = ((norm > 0.0) & (norm < np.inf)).all()
     if not ok:
         raise ValueError("cannot normalize a zero or non-finite vector")

@@ -81,7 +81,7 @@ def train_many(
                 getattr(c, f.name) != getattr(shared, f.name) for c in configs):
             raise ValueError(f"configs trained together must share {f.name}")
     weights = LossWeights.of([CE if c.objective == "ce" else c.loss for c in configs])
-    features, labels = _stack(train_set, params.num_known)
+    features, labels = _stack(train_set, params)
     stacked = ModelParams.stack([params] * len(configs))
     velocity = ModelGrads.zeros_like(stacked)
     slots = [*zip(stacked.weights, velocity.weights), *zip(stacked.biases, velocity.biases),
@@ -128,17 +128,22 @@ def _first_failing_slice(stacked: ModelParams, x: np.ndarray) -> int:
     return 0
 
 
-def _stack(train_set: list[Sample], num_known: int) -> tuple[np.ndarray, np.ndarray]:
-    """Features as an (n, d) matrix and labels as (n,) known indices."""
+def _stack(train_set: list[Sample], params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Features as an (n, d) matrix and labels as (n,) known indices, checked
+    against the model's input width and classes."""
     labels = np.array([s.label for s in train_set], dtype=np.int64)
-    check_labels(labels, num_known)
-    return np.stack([s.features for s in train_set]), labels
+    check_labels(labels, params.num_known)
+    features = np.stack([s.features for s in train_set])
+    if features.shape[1] != params.input_dim:
+        raise ValueError(f"train set has {features.shape[1]} features per sample, "
+                         f"the model takes {params.input_dim}")
+    return features, labels
 
 
 def extract_bank(params: ModelParams, train_set: list[Sample]) -> EmbeddingBank:
     """One normalized embedding per training sample (input order) plus
     renormalized per-class mean prototypes."""
-    features, labels = _stack(train_set, params.num_known)
+    features, labels = _stack(train_set, params)
     embeddings = np.concatenate([
         forward(params, features[i : i + _BANK_BLOCK]).z
         for i in range(0, len(features), _BANK_BLOCK)
@@ -172,8 +177,12 @@ def load_bank(path: str) -> EmbeddingBank:
         rows, labs = read_labelled_csv(p, int)
         return np.array(rows), np.array(labs, dtype=np.int64)
 
+    sidecar = path + ".proto.csv"
     embeddings, labels = read(path)
-    prototypes, proto_labels = read(path + ".proto.csv")
+    prototypes, proto_labels = read(sidecar)
     if not np.array_equal(proto_labels, np.arange(len(proto_labels))):
-        raise ValueError("prototype sidecar labels must be 0..num_known-1 in order")
+        raise ValueError(f"{sidecar}: prototype labels must be 0..num_known-1 in order")
+    if prototypes.shape[1:] != embeddings.shape[1:]:
+        raise ValueError(f"{sidecar}: prototypes of shape {prototypes.shape} do not fit "
+                         f"the bank's rows of shape {embeddings.shape}")
     return EmbeddingBank(embeddings, labels, prototypes)

@@ -3,7 +3,10 @@ consistent prototype matching, EMA target prototypes, and a memory bank
 seeded from the classifier head rows.
 
 The engine never updates model parameters and never compares a score
-against a fixed cutoff. State evolves strictly one sample at a time.
+against a fixed cutoff. A step has a state-free half, `embed`, which
+depends only on the frozen model and bank and so runs a block of the
+stream at a time, and a stateful half, `step`, through which the state
+evolves strictly one sample at a time.
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ logger = logging.getLogger(__name__)
 QUERY_MODES = ("source_centroid", "target_embedding")
 COLD_START_MODES = ("seed_on_first_match", "seed_per_class", "copy_source")
 SNAPSHOT_FORMAT = 2  # format 1 kept every follow-up embedding in lists
+# Similarities one `embed` call of `run_stream` holds, a block of stream rows
+# times the bank rows: 1 MB of float64 however large the bank.
+_BLOCK_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,9 @@ def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> Tur
     config.validate()
     if bank.embeddings.shape[1] != params.embed_dim:
         raise ValueError("bank and head embedding dims disagree")
+    if bank.prototypes.shape != (params.num_known, params.embed_dim):
+        raise ValueError(f"bank prototypes of shape {bank.prototypes.shape} do not fit the "
+                         f"model's {params.num_known} known classes of width {params.embed_dim}")
     zero = np.flatnonzero(np.linalg.norm(params.head, axis=1) == 0.0)
     if len(zero):
         raise ValueError(f"head row {zero[0]} is zero: cannot seed memory bank")
@@ -95,16 +104,17 @@ def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> Tur
 
 def match_source(state: TurState, centroid: np.ndarray) -> np.ndarray:
     """Best frozen source prototype per centroid row; ties go to the lowest."""
-    return np.argmax(centroid @ state.source_prototypes.T, axis=-1)
+    return (centroid @ state.source_prototypes.T).argmax(-1)
 
 
-def match_target(state: TurState, centroid: np.ndarray) -> np.ndarray | None:
-    """Best present target prototype per centroid row, or None before any."""
+def match_target(state: TurState, centroid: np.ndarray) -> int | np.ndarray | None:
+    """Best present target prototype per centroid row (an int for a 1-D
+    centroid), or None before any."""
     if not state.target_prototypes:
         return None
     keys = sorted(state.target_prototypes)
-    sims = centroid @ np.array([state.target_prototypes[k] for k in keys]).T
-    return np.array(keys)[np.argmax(sims, axis=-1)]
+    best = (centroid @ np.array([state.target_prototypes[k] for k in keys]).T).argmax(-1)
+    return keys[best] if best.ndim == 0 else np.array(keys)[best]
 
 
 def update_target_prototype(state: TurState, k: int, z_t: np.ndarray) -> None:
@@ -114,23 +124,21 @@ def update_target_prototype(state: TurState, k: int, z_t: np.ndarray) -> None:
         state.target_prototypes[k] = z_t.copy()
         return
     phi = state.config.ema_weight
-    mixed = phi * z_t + (1.0 - phi) * old
-    if np.linalg.norm(mixed) == 0.0:
+    try:
+        state.target_prototypes[k] = l2_normalize(phi * z_t + (1.0 - phi) * old)
+    except ValueError:  # unit z_t and old: the mix is zero
         logger.warning("degenerate EMA for target prototype %d; left unchanged", k)
-        return
-    state.target_prototypes[k] = l2_normalize(mixed)
 
 
 def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
     """Add z_t to the running sum of the head's predicted class and refresh
     that class's follow-up prototype, the normalized mean. Returns the class."""
-    k = int(np.argmax(state.params.head @ z_t))
+    k = int((state.params.head @ z_t).argmax())
     state.memory_sum[k] += z_t
     state.memory_count[k] += 1
-    mean = state.memory_sum[k] / state.memory_count[k]
-    if np.linalg.norm(mean) > 0.0:
-        state.followup_prototypes[k] = l2_normalize(mean)
-    else:
+    try:
+        state.followup_prototypes[k] = l2_normalize(state.memory_sum[k] / state.memory_count[k])
+    except ValueError:  # a sum of unit vectors: the mean is zero
         logger.warning("degenerate follow-up prototype for class %d; left unchanged", k)
     return k
 
@@ -138,7 +146,7 @@ def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
 def followup_predict(state: TurState, q: np.ndarray) -> np.ndarray:
     """(num_known + 1)-way argmax per row of q over the follow-up prototypes;
     the last index maps to UNKNOWN."""
-    k = np.argmax(q @ state.followup_prototypes.T, axis=-1)
+    k = (q @ state.followup_prototypes.T).argmax(-1)
     return np.where(k == state.num_known, UNKNOWN, k)
 
 
@@ -162,12 +170,24 @@ def decide(state: TurState, z: np.ndarray, centroid: np.ndarray):
     return k_src, k_tgt, agreed, q
 
 
-def step(state: TurState, x_t: np.ndarray) -> Prediction:
-    """Process one test sample: embed, route it with `decide`, then update
-    the matched target prototype, or add the sample to the memory bank and
-    take the follow-up label. Mutates state in place; never touches params."""
-    z_t = forward(state.params, x_t).z
-    centroid = query(state.index, z_t).centroid
+def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state-free half of a step: the unit embeddings of the rows of x
+    (a 1-D x is one sample) and their source-neighborhood centroids. A
+    matrix is computed as a stack of one-row products, so every row gets
+    exactly the bits of its own 1-D call."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        z = forward(state.params, x).z
+    else:
+        z = forward(state.params, x[:, None, :]).z[:, 0]
+    return z, query(state.index, z).centroid
+
+
+def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray) -> Prediction:
+    """The stateful half of a step, for one sample embedded by `embed`: route
+    it with `decide`, then update the matched target prototype, or add it to
+    the memory bank and take the follow-up label. Mutates state in place;
+    never touches params."""
     k_src, k_tgt, agreed, q = decide(state, z_t, centroid)
     k_src, k_tgt = int(k_src), None if k_tgt is None else int(k_tgt)
     if agreed:
@@ -183,15 +203,25 @@ def step(state: TurState, x_t: np.ndarray) -> Prediction:
 def predict_frozen(state: TurState, x: np.ndarray) -> np.ndarray:
     """Label the rows of x (a 1-D x is one point) as `step` would, without
     changing the state; used for decision-grid export after a stream."""
-    z = forward(state.params, x).z
-    centroid = query(state.index, z).centroid
+    z, centroid = embed(state, x)
     k_src, _, agreed, q = decide(state, z, centroid)
     return np.where(agreed, k_src, followup_predict(state, q))[()]  # one point: a scalar
 
 
 def run_stream(state: TurState, stream) -> list[Prediction]:
-    """Sequentially adapt over an ordered stream of Samples."""
-    return [step(state, s.features) for s in stream]
+    """Sequentially adapt over an ordered sequence of Samples: `embed` a
+    block of the stream at a time, then `step` through its rows in order. A
+    one-sample block is embedded as a 1-D sample, the cheaper call."""
+    preds: list[Prediction] = []
+    rows = max(1, _BLOCK_BUDGET // len(state.index.bank))
+    for start in range(0, len(stream), rows):
+        block = stream[start : start + rows]
+        if len(block) == 1:
+            preds.append(step(state, *embed(state, block[0].features)))
+            continue
+        z, centroid = embed(state, np.stack([s.features for s in block]))
+        preds += [step(state, z_t, c) for z_t, c in zip(z, centroid)]
+    return preds
 
 
 def save_snapshot(state: TurState, path: str) -> None:

@@ -125,8 +125,12 @@ def test_query_equals_stable_argsort_on_duplicate_rows(seed, distinct, size, dim
     z[0] = bank.embeddings[rng.integers(size)]  # a query exactly on a tie group
     emb = bank.embeddings
     index = build_index(bank, k=k)
-    # each oracle sorts the similarity product the query itself computes
-    assert np.array_equal(query(index, z).indices, _stable_top_k(z @ emb.T, k))
-    for row in z:  # the one-row case
+    # each oracle sorts the similarity product the query itself computes:
+    # one one-row product per query row
+    hood = query(index, z)
+    assert np.array_equal(hood.indices, _stable_top_k((z[:, None, :] @ emb.T)[:, 0], k))
+    for row, ids, centroid in zip(z, hood.indices, hood.centroid):  # the one-row case
         want = _stable_top_k(row[None] @ emb.T, k)[0]
-        assert np.array_equal(query(index, row).indices, want)
+        one = query(index, row)
+        assert np.array_equal(one.indices, want) and np.array_equal(one.indices, ids)
+        assert np.array_equal(one.centroid, centroid)  # bit for bit

@@ -28,11 +28,14 @@ def test_l2_normalize_idempotent():
 
 
 def test_l2_normalize_rows_match_vectors():
+    # bit for bit, and the bits of np.linalg.norm, whatever the stacking
     rng = np.random.default_rng(4)
-    rows = rng.normal(size=(30, 6)) * rng.uniform(0.01, 100.0, size=(30, 1))
-    out = l2_normalize(rows)
-    for row, got in zip(rows, out):
-        np.testing.assert_allclose(got, l2_normalize(row), rtol=0, atol=1e-15)
+    rows = rng.normal(size=(5000, 8)) * rng.uniform(0.01, 100.0, size=(5000, 1))
+    for stack in (rows, rows.reshape(50, 100, 8), rows[:1]):
+        out = l2_normalize(stack).reshape(-1, 8)
+        for row, got in zip(stack.reshape(-1, 8), out):
+            assert np.array_equal(got, l2_normalize(row))
+            assert np.array_equal(got, row / np.linalg.norm(row))
 
 
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])

@@ -103,6 +103,15 @@ def test_train_rejects_labels_beyond_the_known_classes():
                    [TrainConfig(epochs=0), TrainConfig(epochs=0, objective="ce")])
 
 
+def test_train_set_of_the_wrong_width_is_not_a_divergence():
+    narrow = [Sample(np.ones(2), 0), Sample(np.full(2, 0.5), 1)]
+    params = init_model(3, 4, 2, 0)
+    with pytest.raises(ValueError, match="2 features per sample, the model takes 3"):
+        train(params, narrow, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="2 features per sample, the model takes 3"):
+        extract_bank(params, narrow)
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", 3), ("batch_size", 2), ("learning_rate", 0.5), ("momentum", 0.5), ("shuffle_seed", 1),
 ])
@@ -264,3 +273,18 @@ def test_save_bank_failing_mid_write_keeps_the_old_files(tmp_path):
         assert (tmp_path / name).read_bytes() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)  # no .tmp left
     assert np.array_equal(load_bank(str(path)).embeddings, bank.embeddings)
+
+
+def test_load_bank_rejects_a_sidecar_of_the_wrong_width(tmp_path):
+    rng = np.random.default_rng(0)
+    wide = rng.normal(size=(15, 8))
+    path = tmp_path / "bank.csv"
+    save_bank(EmbeddingBank(wide, np.arange(15) % 3, wide[:3]), str(path))
+    narrow = tmp_path / "narrow.csv"
+    save_bank(EmbeddingBank(wide[:3, :4], np.arange(3), wide[:3, :4]), str(narrow))
+    sidecar = tmp_path / "bank.csv.proto.csv"
+    sidecar.write_bytes(narrow.read_bytes())  # 3 prototypes of width 4
+    with pytest.raises(ValueError, match=r"proto\.csv: prototypes of shape \(3, 4\) do not fit "
+                                         r"the bank's rows of shape \(15, 8\)") as err:
+        load_bank(str(path))
+    assert str(sidecar) in str(err.value)

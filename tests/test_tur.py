@@ -1,13 +1,16 @@
 import functools
 import json
 import os
+import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ostta import tur
 from ostta.data import UNKNOWN, BlobSpec, ShiftSpec, apply_shift, generate_blobs, make_stream
 from ostta.model import init_model
 from ostta.numeric import l2_normalize
@@ -17,6 +20,7 @@ from ostta.tur import (
     QUERY_MODES,
     TurConfig,
     TurState,
+    embed,
     followup_predict,
     init_tur,
     load_snapshot,
@@ -112,6 +116,15 @@ def test_init_dim_mismatch():
         init_tur(bank, params, TurConfig(k=3))
 
 
+def test_init_rejects_prototypes_that_do_not_fit_the_model():
+    bank = _toy_bank(dim=4, num_known=3)
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    for protos in (bank.prototypes[:2], np.hstack([bank.prototypes, bank.prototypes])):
+        wrong = EmbeddingBank(bank.embeddings, bank.labels, protos)
+        with pytest.raises(ValueError, match=re.escape(f"prototypes of shape {protos.shape}")):
+            init_tur(wrong, params, TurConfig(k=3))
+
+
 def test_match_source_argmax():
     state, _, _ = _toy_state()
     for k in range(3):
@@ -192,7 +205,7 @@ def test_step_agreement_route():
     state, bank, _ = _toy_state(TurConfig(k=3, cold_start_mode="copy_source"))
     # feed a point whose embedding lands near class prototypes repeatedly
     train_set, _ = generate_blobs(BlobSpec(seed=0))
-    pred = step(state, train_set[0].features)
+    pred = step(state, *embed(state, train_set[0].features))
     assert pred.route in ("agreed", "followup")
     assert state.step_count == 1
     if pred.route == "agreed":
@@ -201,7 +214,7 @@ def test_step_agreement_route():
 
 def test_step_cold_start_first_sample_agrees():
     state, _, test_set = _trained_state(TurConfig(k=10))
-    pred = step(state, test_set[0].features)
+    pred = step(state, *embed(state, test_set[0].features))
     # no target prototype existed, so absence counts as agreement
     assert pred.route == "agreed"
     assert pred.label == pred.source_match
@@ -245,7 +258,7 @@ def test_seed_per_class_cold_start():
     state, _, test_set = _trained_state(TurConfig(k=10, cold_start_mode="seed_per_class"))
     seen = set()
     for s in test_set[:50]:
-        pred = step(state, s.features)
+        pred = step(state, *embed(state, s.features))
         if pred.target_match is None or pred.source_match not in seen:
             # class-level absence must never fall through to the memory bank
             if pred.source_match not in seen and pred.route == "agreed":
@@ -377,3 +390,37 @@ def test_load_snapshot_rejects_old_format_and_bad_shapes(tmp_path):
         with pytest.raises(ValueError, match=match) as err:
             load_snapshot(str(path), bank, params)
         assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17, 33, 745])
+def test_embed_rows_equal_one_sample_calls(rows):
+    params, bank, stream = _trained_model()
+    state = init_tur(bank, params, TurConfig(k=5))
+    lattice = np.linspace(-12, 12, 25)
+    x = np.concatenate([[[a, b] for b in lattice for a in lattice], [s.features for s in stream]])
+    z, centroid = embed(state, x[:rows])
+    assert z.shape == centroid.shape == (rows, params.embed_dim)
+    for x_t, z_t, c in zip(x, z, centroid):
+        one_z, one_c = embed(state, x_t)
+        assert np.array_equal(z_t, one_z) and np.array_equal(c, one_c)  # bit for bit
+
+
+@settings(max_examples=40, deadline=None)
+@given(cold=st.sampled_from(COLD_START_MODES), mode=st.sampled_from(QUERY_MODES),
+       rows=st.integers(1, 130), cuts=st.lists(st.integers(1, 119), max_size=6))
+def test_any_cut_and_block_size_equal_one_sample_steps(cold, mode, rows, cuts):
+    params, bank, stream = _trained_model()
+    config = TurConfig(k=5, query_vector_mode=mode, cold_start_mode=cold)
+    alone = init_tur(bank, params, config)
+    want = [step(alone, *embed(alone, s.features)) for s in stream]
+    whole = init_tur(bank, params, config)
+    assert run_stream(whole, stream) == want  # the default budget: one block
+    assert _state_bytes(whole) == _state_bytes(alone)
+    cut = init_tur(bank, params, config)
+    got = []
+    bounds = [0, *sorted(set(cuts)), len(stream)]
+    with mock.patch.object(tur, "_BLOCK_BUDGET", rows * len(bank)):  # blocks of `rows` rows
+        for start, stop in zip(bounds, bounds[1:]):
+            got += run_stream(cut, stream[start:stop])
+    assert got == want
+    assert _state_bytes(cut) == _state_bytes(alone)
