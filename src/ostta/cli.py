@@ -61,9 +61,7 @@ class ExperimentConfig:
     )
     model: ModelSpec = ModelSpec()
     train: TrainConfig = TrainConfig(loss=LossConfig(tau=8.0, lam=0.15))
-    tur: TurConfig = TurConfig(
-        query_vector_mode="target_embedding", cold_start_mode="copy_source"
-    )
+    tur: TurConfig = TurConfig()
     stream_seeds: tuple[int, ...] = (0,)
     arms: tuple[str, ...] = ARMS
     grid_resolution: int = 80
@@ -292,12 +290,25 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
+def _read_steps(path: str) -> tuple[list, list]:
+    """The predicted and true labels of a steps file, in stream order."""
+    preds, truths = [], []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                preds.append(record["pred"])
+                truths.append(record["true"])
+            except (ValueError, KeyError, TypeError):
+                raise ValueError(f"{path}, line {line_no}: not a JSON object "
+                                 "with pred and true") from None
+    return preds, truths
+
+
 def _cmd_eval(args) -> int:
-    with open(args.steps) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    preds = [r["pred"] for r in records]
-    truths = [r["true"] for r in records]
-    report = evaluate(preds, truths, args.num_known)
+    report = evaluate(*_read_steps(args.steps), args.num_known)
     report.to_json(args.report_out)
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0
@@ -367,14 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-out", required=True)
     p.set_defaults(fn=_cmd_grid)
 
-    for name, helptext in (("run", "end-to-end experiment, all arms"),
-                           ("ablate", "run a subset of ablation arms")):
-        p = sub.add_parser(name, help=helptext)
-        add_config(p)
-        p.add_argument("--outdir", required=True)
-        p.add_argument("--arms", default=None, help="comma-separated arm list")
-        p.add_argument("--force", action="store_true")
-        p.set_defaults(fn=_cmd_run)
+    p = sub.add_parser("run", help="end-to-end experiment over all (or the given) arms")
+    add_config(p)
+    p.add_argument("--outdir", required=True)
+    p.add_argument("--arms", default=None, help="comma-separated arm list")
+    p.add_argument("--force", action="store_true")
+    p.set_defaults(fn=_cmd_run)
 
     return parser
 

@@ -189,22 +189,21 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("magic") != _CKPT_MAGIC:
+        try:
+            header = json.loads(fh.readline().decode())
+        except ValueError:  # not UTF-8, or not JSON
+            header = None
+        if not isinstance(header, dict) or header.get("magic") != _CKPT_MAGIC:
             raise ValueError(f"not a model checkpoint: {path}")
         raw = fh.read()
-    offset = 0
-
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        return arr.reshape(shape).astype(np.float64)
-
-    weights, biases = [], []
-    for shape in header["layer_shapes"]:
-        weights.append(take(tuple(shape)))
-        biases.append(take((shape[0],)))
-    head = take(tuple(header["head_shape"]))
-    return ModelParams(weights, biases, list(header["activations"]), head)
+    # weights and bias per layer, then the head, each row-major
+    shapes = [tuple(s) for shape in header["layer_shapes"] for s in (shape, shape[:1])]
+    shapes.append(tuple(header["head_shape"]))
+    sizes = [int(np.prod(s)) for s in shapes]
+    if len(raw) != 8 * sum(sizes):
+        raise ValueError(f"{path}: {len(raw)} parameter bytes, its header needs {8 * sum(sizes)}")
+    arrays, offset = [], 0
+    for shape, count in zip(shapes, sizes):
+        arrays.append(np.frombuffer(raw, "<f8", count, offset).reshape(shape).astype(np.float64))
+        offset += 8 * count
+    return ModelParams(arrays[0:-1:2], arrays[1:-1:2], list(header["activations"]), arrays[-1])

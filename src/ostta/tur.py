@@ -1,6 +1,6 @@
 """Online unknown-rejection engine: per-sample prediction from cycle-
-consistent prototype matching, EMA target prototypes, and a memory bank
-seeded from the classifier head rows.
+consistent prototype matching, EMA target prototypes starting at the source
+prototypes, and a memory bank seeded from the classifier head rows.
 
 The engine never updates model parameters and never compares a score
 against a fixed cutoff. A step has a state-free half, `embed`, which
@@ -11,6 +11,7 @@ evolves strictly one sample at a time.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 from dataclasses import dataclass
@@ -25,9 +26,9 @@ from .trainer import EmbeddingBank
 
 logger = logging.getLogger(__name__)
 
-QUERY_MODES = ("source_centroid", "target_embedding")
-COLD_START_MODES = ("seed_on_first_match", "seed_per_class", "copy_source")
-SNAPSHOT_FORMAT = 2  # format 1 kept every follow-up embedding in lists
+# format 1 kept every follow-up embedding in lists; format 2 kept the target
+# prototypes of present classes only and named no model
+SNAPSHOT_FORMAT = 3
 # Similarities one `embed` call of `run_stream` holds, a block of stream rows
 # times the bank rows: 1 MB of float64 however large the bank.
 _BLOCK_BUDGET = 1 << 17
@@ -37,23 +38,17 @@ _BLOCK_BUDGET = 1 << 17
 class TurConfig:
     ema_weight: float = 0.3  # weight of the incoming embedding in the EMA
     k: int = 10
-    query_vector_mode: str = "source_centroid"
-    cold_start_mode: str = "seed_on_first_match"
 
     def validate(self) -> None:
         if not 0.0 < self.ema_weight < 1.0:
             raise ValueError("ema_weight must be in (0, 1)")
-        if self.query_vector_mode not in QUERY_MODES:
-            raise ValueError(f"query_vector_mode must be one of {QUERY_MODES}")
-        if self.cold_start_mode not in COLD_START_MODES:
-            raise ValueError(f"cold_start_mode must be one of {COLD_START_MODES}")
 
 
 @dataclass
 class TurState:
     index: KnnIndex                       # frozen source embeddings
     source_prototypes: np.ndarray         # (num_known, d), frozen
-    target_prototypes: dict[int, np.ndarray]  # present classes only
+    target_prototypes: np.ndarray         # (num_known, d), EMA from the source prototypes
     memory_sum: np.ndarray                # (num_known + 1, d), sum of each class's unit vectors
     memory_count: np.ndarray              # (num_known + 1,), vectors summed per class
     followup_prototypes: np.ndarray       # (num_known + 1, d), unit rows
@@ -71,12 +66,12 @@ class Prediction:
     label: int  # known index or UNKNOWN
     route: str  # "agreed" or "followup"
     source_match: int
-    target_match: int | None
+    target_match: int
 
 
 def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> TurState:
-    """Fresh state: empty (or source-copied) target prototypes, memory bank
-    holding exactly one renormalized head row per class."""
+    """Fresh state: target prototypes copied from the source prototypes,
+    memory bank holding exactly one renormalized head row per class."""
     config.validate()
     if bank.embeddings.shape[1] != params.embed_dim:
         raise ValueError("bank and head embedding dims disagree")
@@ -87,13 +82,10 @@ def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> Tur
     if len(zero):
         raise ValueError(f"head row {zero[0]} is zero: cannot seed memory bank")
     seeds = np.stack([l2_normalize(row) for row in params.head])
-    target: dict[int, np.ndarray] = {}
-    if config.cold_start_mode == "copy_source":
-        target = {k: bank.prototypes[k].copy() for k in range(params.num_known)}
     return TurState(
         index=build_index(bank, k=config.k),
         source_prototypes=bank.prototypes,
-        target_prototypes=target,
+        target_prototypes=bank.prototypes.copy(),
         memory_sum=seeds.copy(),
         memory_count=np.ones(len(seeds), dtype=np.int64),
         followup_prototypes=seeds,
@@ -102,28 +94,9 @@ def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> Tur
     )
 
 
-def match_source(state: TurState, centroid: np.ndarray) -> np.ndarray:
-    """Best frozen source prototype per centroid row; ties go to the lowest."""
-    return (centroid @ state.source_prototypes.T).argmax(-1)
-
-
-def match_target(state: TurState, centroid: np.ndarray) -> int | np.ndarray | None:
-    """Best present target prototype per centroid row (an int for a 1-D
-    centroid), or None before any."""
-    if not state.target_prototypes:
-        return None
-    keys = sorted(state.target_prototypes)
-    best = (centroid @ np.array([state.target_prototypes[k] for k in keys]).T).argmax(-1)
-    return keys[best] if best.ndim == 0 else np.array(keys)[best]
-
-
 def update_target_prototype(state: TurState, k: int, z_t: np.ndarray) -> None:
-    """EMA update (or initial seeding) of target prototype k, renormalized."""
-    old = state.target_prototypes.get(k)
-    if old is None:
-        state.target_prototypes[k] = z_t.copy()
-        return
-    phi = state.config.ema_weight
+    """EMA update of target prototype k, renormalized."""
+    phi, old = state.config.ema_weight, state.target_prototypes[k]
     try:
         state.target_prototypes[k] = l2_normalize(phi * z_t + (1.0 - phi) * old)
     except ValueError:  # unit z_t and old: the mix is zero
@@ -143,31 +116,22 @@ def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
     return k
 
 
-def followup_predict(state: TurState, q: np.ndarray) -> np.ndarray:
-    """(num_known + 1)-way argmax per row of q over the follow-up prototypes;
-    the last index maps to UNKNOWN."""
-    k = (q @ state.followup_prototypes.T).argmax(-1)
+def followup_predict(state: TurState, z: np.ndarray) -> np.ndarray:
+    """(num_known + 1)-way argmax per embedding row of z over the follow-up
+    prototypes; the last index maps to UNKNOWN."""
+    k = (z @ state.followup_prototypes.T).argmax(-1)
     return np.where(k == state.num_known, UNKNOWN, k)
 
 
-def decide(state: TurState, z: np.ndarray, centroid: np.ndarray):
-    """Route embedding rows z with their neighborhood centroids on the current
-    state, without changing it. Returns per row the source match, the target
-    match (None before any target prototype exists), whether the row is agreed
-    (cycle-consistent or cold-start), hence labelled by its source match, and
-    the follow-up query vector."""
-    k_src = match_source(state, centroid)
-    k_tgt = match_target(state, centroid)
-    q = centroid if state.config.query_vector_mode == "source_centroid" else z
-    mode = state.config.cold_start_mode
-    if k_tgt is None:  # no target prototype yet: both seeding modes agree
-        return k_src, None, np.full(np.shape(k_src), mode != "copy_source"), q
-    agreed = k_src == k_tgt
-    if mode == "seed_per_class":  # so does a class with no target prototype
-        seeded = np.zeros(state.num_known, dtype=bool)
-        seeded[list(state.target_prototypes)] = True
-        agreed |= ~seeded[k_src]
-    return k_src, k_tgt, agreed, q
+def decide(state: TurState, centroid: np.ndarray):
+    """Route neighborhood-centroid rows on the current state, without
+    changing it. Returns per row the best source prototype, the best target
+    prototype (ties go to the lowest) and whether the two agree: an agreed
+    row is labelled by its source match, any other by the follow-up
+    prototypes."""
+    k_src = (centroid @ state.source_prototypes.T).argmax(-1)
+    k_tgt = (centroid @ state.target_prototypes.T).argmax(-1)
+    return k_src, k_tgt, k_src == k_tgt
 
 
 def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,14 +152,13 @@ def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray) -> Prediction:
     it with `decide`, then update the matched target prototype, or add it to
     the memory bank and take the follow-up label. Mutates state in place;
     never touches params."""
-    k_src, k_tgt, agreed, q = decide(state, z_t, centroid)
-    k_src, k_tgt = int(k_src), None if k_tgt is None else int(k_tgt)
+    k_src, k_tgt, agreed = map(int, decide(state, centroid))
     if agreed:
         update_target_prototype(state, k_src, z_t)
         pred = Prediction(k_src, "agreed", k_src, k_tgt)
     else:
         update_memory_bank(state, z_t)
-        pred = Prediction(int(followup_predict(state, q)), "followup", k_src, k_tgt)
+        pred = Prediction(int(followup_predict(state, z_t)), "followup", k_src, k_tgt)
     state.step_count += 1
     return pred
 
@@ -204,8 +167,8 @@ def predict_frozen(state: TurState, x: np.ndarray) -> np.ndarray:
     """Label the rows of x (a 1-D x is one point) as `step` would, without
     changing the state; used for decision-grid export after a stream."""
     z, centroid = embed(state, x)
-    k_src, _, agreed, q = decide(state, z, centroid)
-    return np.where(agreed, k_src, followup_predict(state, q))[()]  # one point: a scalar
+    k_src, _, agreed = decide(state, centroid)
+    return np.where(agreed, k_src, followup_predict(state, z))[()]  # one point: a scalar
 
 
 def run_stream(state: TurState, stream) -> list[Prediction]:
@@ -224,14 +187,20 @@ def run_stream(state: TurState, stream) -> list[Prediction]:
     return preds
 
 
+def _fingerprint(params: ModelParams) -> str:
+    return hashlib.sha256(params.param_bytes()).hexdigest()[:16]
+
+
 def save_snapshot(state: TurState, path: str) -> None:
     """Resumable snapshot of a size fixed by the model: prototypes, memory
-    sums and counts, and step counter (bank and model have their own files).
-    Written through a temporary file, so a crash keeps the old snapshot."""
+    sums and counts, step counter, and a fingerprint of the model's
+    parameters (bank and model have their own files). Written through a
+    temporary file, so a crash keeps the old snapshot."""
     payload = {
         "format": SNAPSHOT_FORMAT,
+        "model": _fingerprint(state.params),
         "step_count": state.step_count,
-        "target_prototypes": {str(k): v.tolist() for k, v in state.target_prototypes.items()},
+        "target_prototypes": state.target_prototypes.tolist(),
         "memory_sum": state.memory_sum.tolist(),
         "memory_count": state.memory_count.tolist(),
         "followup_prototypes": state.followup_prototypes.tolist(),
@@ -246,13 +215,18 @@ def load_snapshot(path: str, bank: EmbeddingBank, params: ModelParams) -> TurSta
         payload = json.load(fh)
     if payload.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a format-{SNAPSHOT_FORMAT} engine snapshot")
+    model = _fingerprint(params)
+    if payload.get("model") != model:
+        raise ValueError(f"{path}: a snapshot of model {payload.get('model')}, not of {model}")
     state = init_tur(bank, params, TurConfig(**payload["config"]))
-    for name in ("memory_sum", "memory_count", "followup_prototypes"):
+    for name in ("target_prototypes", "memory_sum", "memory_count", "followup_prototypes"):
         fresh = getattr(state, name)  # shaped by the model
-        value = np.array(payload[name], dtype=fresh.dtype)
+        try:
+            value = np.array(payload[name], dtype=fresh.dtype)
+        except (TypeError, ValueError) as exc:  # a dict, a ragged list, a string
+            raise ValueError(f"{path}: {name} is not an array of numbers ({exc})") from None
         if value.shape != fresh.shape:
             raise ValueError(f"{path}: {name} has shape {value.shape}, the model needs {fresh.shape}")
         setattr(state, name, value)
     state.step_count = payload["step_count"]
-    state.target_prototypes = {int(k): np.array(v) for k, v in payload["target_prototypes"].items()}
     return state

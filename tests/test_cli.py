@@ -45,6 +45,9 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"blob": {"seed": 0}, "optimizer": "adam"})
     with pytest.raises(ValueError, match="config.train"):
         config_from_dict({"train": {"nesterov": True}})
+    # the engine has one configuration: its removed mode keys are unknown
+    with pytest.raises(ValueError, match=r"unknown config keys at config.tur: \['cold_start_mode'\]"):
+        config_from_dict({"tur": {"cold_start_mode": "copy_source"}})
 
 
 def test_config_validation():
@@ -179,7 +182,7 @@ def test_cli_run_and_ablate(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(dataclasses.asdict(_small_config())))
     outdir = tmp_path / "out"
-    assert main(["ablate", "--config", str(config_path),
+    assert main(["run", "--config", str(config_path),
                  "--outdir", str(outdir), "--arms", "ce,ugd"]) == 0
     out = capsys.readouterr().out
     assert "ce" in out and "ugd" in out
@@ -216,7 +219,7 @@ def test_cli_rejects_config_section_that_is_not_an_object(tmp_path, capsys, payl
     ({"blob": {"samples_per_cluster": "5"}}, "config.blob.samples_per_cluster must be int"),
     ({"train": {"epochs": True}}, "config.train.epochs must be int, got bool"),
     ({"train": {"loss": {"enable_ua": 0}}}, "config.train.loss.enable_ua must be bool"),
-    ({"tur": {"query_vector_mode": 1}}, "config.tur.query_vector_mode must be str"),
+    ({"train": {"objective": 1}}, "config.train.objective must be str"),
     ({"shift": {"noise_std": None}}, "config.shift.noise_std must be float"),
     ({"model": {"hidden": [8, 2.5]}}, "config.model.hidden[1] must be int"),
     ({"blob": {"center_box": [-8.0]}}, "config.blob.center_box must hold 2 values, got 1"),
@@ -279,6 +282,18 @@ def test_cli_eval_rejects_label_outside_the_classes(tmp_path, capsys):
                  "--report-out", str(tmp_path / "report.json")])
     assert code == 1
     assert "label 2 " in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad_line", ['{"true": 0}', '{"pred": 0, "true": 0'],
+                         ids=["no-pred", "not-json"])
+def test_cli_eval_names_the_file_and_line_of_a_malformed_record(tmp_path, capsys, bad_line):
+    steps = tmp_path / "steps.ndjson"
+    steps.write_text(json.dumps({"pred": 0, "true": 0}) + "\n" + bad_line + "\n")
+    code = main(["eval", "--steps", str(steps), "--num-known", "2",
+                 "--report-out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{steps}, line 2: ")
     assert not (tmp_path / "report.json").exists()
 
 

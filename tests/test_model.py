@@ -172,6 +172,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("damage, match", [
+    (lambda raw: raw[:-100], "parameter bytes"),
+    (lambda raw: raw + bytes(64), "parameter bytes"),
+    (lambda raw: b"{not json\n" + raw.split(b"\n", 1)[1], "not a model checkpoint"),
+], ids=["cut-short", "trailing-bytes", "header-not-json"])
+def test_checkpoint_names_the_file_it_rejects(tmp_path, damage, match):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(2, 8, 3, 7), str(path))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=match) as err:
+        load_checkpoint(str(path))
+    assert str(path) in str(err.value)
+
+
 def test_init_rejects_bad_dims():
     with pytest.raises(ValueError):
         init_model(0, 8, 3, 0)
