@@ -83,7 +83,7 @@ def test_config_validation():
 
 
 def test_init_memory_seeded_from_head_rows():
-    state, bank, params = _toy_state()
+    state, _, params = _toy_state()
     assert state.memory_sum.shape == (4, 4)
     assert state.memory_count.tolist() == [1, 1, 1, 1]
     for k in range(4):
@@ -93,10 +93,14 @@ def test_init_memory_seeded_from_head_rows():
         np.testing.assert_allclose(
             state.followup_prototypes[k], state.memory_sum[k], atol=1e-12
         )
+    assert state.step_count == 0
+
+
+def test_init_copy_source_mode():
     # target prototypes start as a copy of the source prototypes
+    state, bank, _ = _toy_state()
     assert np.array_equal(state.target_prototypes, bank.prototypes)
     assert not np.shares_memory(state.target_prototypes, bank.prototypes)
-    assert state.step_count == 0
 
 
 def test_init_dim_mismatch():
@@ -275,9 +279,26 @@ def test_snapshot_resume_equals_uninterrupted(split):
     assert _state_bytes(resumed) == _state_bytes(whole)
 
 
-def test_predict_frozen_rows_equal_one_row_calls():
+def _seed_target_prototypes(state, stream, start):
+    """Overwrite target prototype rows with stream embeddings, as the old
+    cold starts seeded them: `copy_source` keeps the source copy,
+    `seed_on_first_match` takes the first sample's embedding for its source
+    match, `seed_per_class` each class's first source-matched embedding."""
+    if start == "copy_source":
+        return
+    z, centroid = embed(state, np.stack([s.features for s in stream]))
+    k_src = (centroid @ state.source_prototypes.T).argmax(-1)
+    for k in (k_src[:1] if start == "seed_on_first_match" else np.unique(k_src)):
+        state.target_prototypes[k] = z[np.flatnonzero(k_src == k)[0]]
+
+
+@pytest.mark.parametrize("start", ["copy_source", "seed_on_first_match", "seed_per_class"])
+def test_predict_frozen_rows_equal_one_row_calls(start):
     params, bank, stream = _trained_model()
     state = init_tur(bank, params, TurConfig(k=5))
+    _seed_target_prototypes(state, stream, start)
+    if start != "copy_source":
+        assert not np.array_equal(state.target_prototypes, state.source_prototypes)
     lattice = np.linspace(-12, 12, 25)
     x = np.array([[a, b] for b in lattice for a in lattice])
     x = np.concatenate([x, np.stack([s.features for s in stream])])
