@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -26,18 +25,20 @@ from .data import (
     Sample,
     ShiftSpec,
     apply_shift,
+    from_json,
     generate_blobs,
     load_csv,
     make_stream,
     save_csv,
 )
-from .losses import LossConfig
+from .losses import OBJECTIVES, LossConfig
 from .metrics import decision_grid, evaluate, save_grid
 from .model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, extract_bank, load_bank, save_bank, train_many
 from .tur import Prediction, TurConfig, init_tur, predict_frozen, run_stream, save_snapshot
 
-ARMS = ("ce", "ugd_no_ua", "ugd_no_sce", "ugd", "art")
+# an arm trains the objective of its name; art takes ugd's model and adds the engine
+ARMS = (*OBJECTIVES, "art")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,49 +77,15 @@ class ExperimentConfig:
                 raise ValueError(f"unknown arm {arm!r}; valid arms: {ARMS}")
         if not self.stream_seeds:
             raise ValueError("need at least one stream seed")
-
-
-def _build(cls, payload: dict, path: str):
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path} must be a JSON object, got {type(payload).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    hints = typing.get_type_hints(cls)
-    unknown = set(payload) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown config keys at {path}: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in payload.items():
-        ftype = hints.get(name)
-        if dataclasses.is_dataclass(ftype):
-            kwargs[name] = _build(ftype, value, f"{path}.{name}")
-        else:
-            kwargs[name] = _leaf(value, ftype, f"{path}.{name}")
-    return cls(**kwargs)
-
-
-def _leaf(value, hint, path: str):
-    """value checked against its field's type hint, a JSON list becoming a
-    tuple. An int passes as a float; a bool passes only as a bool."""
-    if typing.get_origin(hint) is tuple:
-        kinds = typing.get_args(hint)
-        if not isinstance(value, list):
-            raise ValueError(f"{path} must be a JSON list, got {type(value).__name__}")
-        if kinds[-1] is Ellipsis:
-            kinds = kinds[:1] * len(value)
-        elif len(value) != len(kinds):
-            raise ValueError(f"{path} must hold {len(kinds)} values, got {len(value)}")
-        return tuple(_leaf(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kinds)))
-    if hint is float:
-        ok = type(value) in (int, float)
-    else:
-        ok = type(value) is hint
-    if not ok:
-        raise ValueError(f"{path} must be {hint.__name__}, got {type(value).__name__} {value!r}")
-    return value
+        if self.grid_resolution < 2:
+            raise ValueError(f"grid_resolution={self.grid_resolution} must be >= 2")
+        bank_size = self.blob.num_known * self.blob.samples_per_cluster
+        if self.tur.k > bank_size:
+            raise ValueError(f"tur.k={self.tur.k} exceeds the source bank's {bank_size} rows")
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    return _build(ExperimentConfig, payload, "config")
+    return from_json(ExperimentConfig, payload, "config")
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -128,22 +95,12 @@ def load_config(path: str | None) -> ExperimentConfig:
         return config_from_dict(json.load(fh))
 
 
-def _arm_train_config(base: TrainConfig, arm: str) -> TrainConfig:
-    if arm == "ce":
-        return dataclasses.replace(base, objective="ce")
-    loss = base.loss
-    if arm == "ugd_no_ua":
-        loss = dataclasses.replace(loss, enable_ua=False)
-    elif arm == "ugd_no_sce":
-        loss = dataclasses.replace(loss, enable_sce=False)
-    return dataclasses.replace(base, objective="ugd", loss=loss)
-
-
-def _checkpoint_hash(cfg: ExperimentConfig, train_cfg: TrainConfig) -> str:
+def _checkpoint_hash(cfg: ExperimentConfig, objective: str) -> str:
     payload = {
         "blob": dataclasses.asdict(cfg.blob),
         "model": dataclasses.asdict(cfg.model),
-        "train": dataclasses.asdict(train_cfg),
+        "train": dataclasses.asdict(cfg.train),
+        "objective": objective,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -156,15 +113,15 @@ def _argmax_labels(params: ModelParams, x: np.ndarray) -> list[int]:
 
 
 def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
-    """(params, bank) per arm. Every distinct training config whose
-    checkpoint, bank or prototype sidecar is missing from outdir is trained
-    in one lockstep `train_many` call and then cached; the others load from
-    the cache. Nothing is written unless every missing config trains."""
-    configs = {arm: _arm_train_config(cfg.train, arm) for arm in arms}
-    keys = {arm: _checkpoint_hash(cfg, c) for arm, c in configs.items()}
+    """(params, bank) per arm. Every distinct objective whose checkpoint,
+    bank or prototype sidecar is missing from outdir is trained in one
+    lockstep `train_many` call and then cached; the others load from the
+    cache. Nothing is written unless every missing objective trains."""
+    objectives = {arm: "ugd" if arm == "art" else arm for arm in arms}
+    keys = {arm: _checkpoint_hash(cfg, objective) for arm, objective in objectives.items()}
     ckpts = {key: os.path.join(outdir, f"model_{key}.ckpt") for key in keys.values()}
     banks = {key: os.path.join(outdir, f"bank_{key}.csv") for key in keys.values()}
-    missing = {key: configs[arm] for arm, key in keys.items()
+    missing = {key: objectives[arm] for arm, key in keys.items()
                if not all(map(os.path.exists, (ckpts[key], banks[key], banks[key] + ".proto.csv")))}
     models = {}
     if missing:
@@ -172,7 +129,7 @@ def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
             cfg.blob.dim, cfg.model.embed_dim, cfg.blob.num_known,
             cfg.model.seed, hidden=cfg.model.hidden,
         )
-        trained = train_many(params, train_set, list(missing.values()))
+        trained = train_many(params, train_set, cfg.train, list(missing.values()))
         for key, (params, _history) in zip(missing, trained):
             models[key] = params, extract_bank(params, train_set)
         for key, (params, bank) in models.items():

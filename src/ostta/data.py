@@ -8,8 +8,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import typing
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -148,6 +149,43 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def from_json(cls, payload, path: str):
+    """The dataclass cls built from a JSON object; an unknown key or a value
+    of the wrong type raises, naming its path such as `config.tur.k`."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} must be a JSON object, got {type(payload).__name__}")
+    unknown = set(payload) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys at {path}: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: _typed(value, hints[name], f"{path}.{name}")
+                  for name, value in payload.items()})
+
+
+def _typed(value, hint, path: str):
+    """value checked against a field's type hint: a dataclass is built by
+    `from_json`, and a JSON list becomes a tuple. An int passes as a float;
+    a bool passes only as a bool."""
+    if is_dataclass(hint):
+        return from_json(hint, value, path)
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a JSON list, got {type(value).__name__}")
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ValueError(f"{path} must hold {len(kinds)} values, got {len(value)}")
+        return tuple(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kinds)))
+    if hint is float:
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is hint
+    if not ok:
+        raise ValueError(f"{path} must be {hint.__name__}, got {type(value).__name__} {value!r}")
+    return value
 
 
 def save_csv(dataset: list[Sample], path: str) -> None:

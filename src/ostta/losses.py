@@ -1,19 +1,14 @@
-"""Training objectives over the (num_known + 1)-way logits.
+"""Training objectives over the (num_known + 1)-way logits, unknown last.
 
-One computation, `loss`, serves every objective: the unknown-activation
-(UA) term plus the temperature-softened cross-entropy (SCE) term with a
-logit-norm penalty, each switched on or off and weighted per slice. Plain
-CE is the SCE term with tau 1, lam 0 and no UA term (`CE`). The logits are
-(n, num_known + 1) rows with (n,) labels, or carry a leading slice axis
-(A, n, num_known + 1) with one set of coefficients per slice; a 1-D call is
-the one-row case and returns a float value. `ce_loss`, `ua_loss`,
-`sce_loss` and `ugd_loss` are the one-config views of `loss`. The unknown
-class sits at the last logit index. Ground-truth labels are always known
-indices.
+One computation, `loss`, serves every objective in `OBJECTIVES`: the
+unknown-activation (UA) term plus the temperature-softened cross-entropy
+(SCE) term with a logit-norm penalty, each on or off. Logits are (n, K + 1)
+rows with (n,) known labels, or (A, n, K + 1) with one objective per slice;
+a 1-D call is the one-row case and returns a float value. `ce_loss`,
+`ua_loss`, `sce_loss` and `ugd_loss` are one-objective views of `loss`.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +20,6 @@ from .numeric import logsumexp, softmax
 class LossConfig:
     tau: float = 2.0       # softening temperature, > 1
     lam: float = 0.05      # weight of the logit-norm penalty
-    enable_ua: bool = True
-    enable_sce: bool = True
 
     def validate(self) -> None:
         if self.tau <= 0:
@@ -35,8 +28,10 @@ class LossConfig:
             raise ValueError("lam must be non-negative")
 
 
-# Standard cross-entropy over all num_known + 1 classes: SCE at tau 1, lam 0.
-CE = LossConfig(tau=1.0, lam=0.0, enable_ua=False, enable_sce=True)
+# The terms each objective trains, (UA on, SCE on). "ce" takes the SCE term
+# at tau 1 and lam 0, whatever the config's tau and lam.
+OBJECTIVES = {"ce": (False, True), "ugd_no_ua": (False, True),
+              "ugd_no_sce": (True, False), "ugd": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -49,22 +44,20 @@ class LossWeights:
     sce: np.ndarray   # bool: SCE term on
 
     @staticmethod
-    def of(configs: LossConfig | Sequence[LossConfig]) -> "LossWeights":
-        """Weights of one config, or of one config per stacked slice."""
-        stacked = not isinstance(configs, LossConfig)
-        configs = list(configs) if stacked else [configs]
-        for config in configs:
-            if not (config.enable_ua or config.enable_sce):
-                raise ValueError("empty objective: both loss terms disabled")
-            if config.enable_sce:
-                config.validate()
-
-        def column(name: str, dtype) -> np.ndarray:
-            values = np.array([getattr(c, name) for c in configs], dtype=dtype)
-            return values[:, None] if stacked else values.reshape(())
-
-        return LossWeights(column("tau", np.float64), column("lam", np.float64),
-                           column("enable_ua", bool), column("enable_sce", bool))
+    def of(config: LossConfig, objectives: str | list[str]) -> "LossWeights":
+        """Weights of one objective, or of one objective per stacked slice,
+        all taking tau and lam from config."""
+        config.validate()
+        stacked = not isinstance(objectives, str)
+        names = list(objectives) if stacked else [objectives]
+        if not set(names) <= OBJECTIVES.keys():
+            raise ValueError(f"unknown objective in {names}; objectives: {tuple(OBJECTIVES)}")
+        tau = [1.0 if name == "ce" else config.tau for name in names]
+        lam = [0.0 if name == "ce" else config.lam for name in names]
+        ua, sce = zip(*(OBJECTIVES[name] for name in names))
+        columns = [(tau, np.float64), (lam, np.float64), (ua, bool), (sce, bool)]
+        shape = (-1, 1) if stacked else ()
+        return LossWeights(*(np.array(c, dtype=dtype).reshape(shape) for c, dtype in columns))
 
 
 def check_labels(y: np.ndarray, num_known: int) -> None:
@@ -113,15 +106,15 @@ def loss(logits, y, weights: LossWeights):
     return (float(value[0]), grad[0]) if single else (value, grad)
 
 
-def _view(logits, y, config: LossConfig):
-    """`loss` for one config, with the labels checked."""
+def _view(logits, y, config: LossConfig, objective: str):
+    """`loss` for one objective, with the labels checked."""
     check_labels(np.asarray(y), np.shape(logits)[-1] - 1)
-    return loss(logits, y, LossWeights.of(config))
+    return loss(logits, y, LossWeights.of(config, objective))
 
 
 def ce_loss(logits: np.ndarray, y: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Standard cross-entropy over all num_known + 1 classes."""
-    return _view(logits, y, CE)
+    return _view(logits, y, LossConfig(), "ce")
 
 
 def ua_loss(logits: np.ndarray, y: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
@@ -129,7 +122,7 @@ def ua_loss(logits: np.ndarray, y: int | np.ndarray) -> tuple[float | np.ndarray
     logit against every logit except the ground truth. The ground-truth
     gradient is exactly zero; the unknown gradient is always negative,
     pulling that logit up under descent."""
-    return _view(logits, y, LossConfig(enable_sce=False))
+    return _view(logits, y, LossConfig(), "ugd_no_sce")
 
 
 def sce_loss(
@@ -137,12 +130,11 @@ def sce_loss(
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Temperature-softened cross-entropy plus an L2 penalty on the logit
     vector. Penalty subgradient at the origin is taken as zero."""
-    return _view(logits, y, LossConfig(config.tau, config.lam, enable_ua=False))
+    return _view(logits, y, config, "ugd_no_ua")
 
 
 def ugd_loss(
     logits: np.ndarray, y: int | np.ndarray, config: LossConfig
 ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Sum of the unknown-activation and softened-CE terms; either side can
-    be ablated via config flags, but not both."""
-    return _view(logits, y, config)
+    """Sum of the unknown-activation and softened-CE terms."""
+    return _view(logits, y, config, "ugd")

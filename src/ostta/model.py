@@ -187,6 +187,11 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         fh.write(np.ascontiguousarray(params.head, dtype="<f8").tobytes())
 
 
+def _is_shape(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int and v > 0 for v in value))
+
+
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:
         try:
@@ -196,9 +201,14 @@ def load_checkpoint(path: str) -> ModelParams:
         if not isinstance(header, dict) or header.get("magic") != _CKPT_MAGIC:
             raise ValueError(f"not a model checkpoint: {path}")
         raw = fh.read()
+    layers, head, acts = (header.get(k) for k in ("layer_shapes", "head_shape", "activations"))
+    if not (isinstance(layers, list) and isinstance(acts, list) and len(acts) == len(layers)
+            and all(map(_is_shape, [*layers, head])) and all(isinstance(a, str) for a in acts)):
+        raise ValueError(f"{path}: the header needs layer_shapes and head_shape as [rows, cols] "
+                         "lists and one activation name per layer")
     # weights and bias per layer, then the head, each row-major
-    shapes = [tuple(s) for shape in header["layer_shapes"] for s in (shape, shape[:1])]
-    shapes.append(tuple(header["head_shape"]))
+    shapes = [tuple(s) for shape in layers for s in (shape, shape[:1])]
+    shapes.append(tuple(head))
     sizes = [int(np.prod(s)) for s in shapes]
     if len(raw) != 8 * sum(sizes):
         raise ValueError(f"{path}: {len(raw)} parameter bytes, its header needs {8 * sum(sizes)}")
@@ -206,4 +216,4 @@ def load_checkpoint(path: str) -> ModelParams:
     for shape, count in zip(shapes, sizes):
         arrays.append(np.frombuffer(raw, "<f8", count, offset).reshape(shape).astype(np.float64))
         offset += 8 * count
-    return ModelParams(arrays[0:-1:2], arrays[1:-1:2], list(header["activations"]), arrays[-1])
+    return ModelParams(arrays[0:-1:2], arrays[1:-1:2], acts, arrays[-1])

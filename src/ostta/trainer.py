@@ -1,14 +1,14 @@
-"""Mini-batch momentum-SGD training, several configs in lockstep, and source
-embedding bank extraction."""
+"""Mini-batch momentum-SGD training, several objectives in lockstep, and
+source embedding bank extraction."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Sample, atomic_open, read_labelled_csv
-from .losses import CE, LossConfig, LossWeights, check_labels, loss
+from .losses import LossConfig, LossWeights, check_labels, loss
 from .model import ModelGrads, ModelParams, backward, forward
 from .numeric import l2_normalize
 
@@ -24,7 +24,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     shuffle_seed: int = 0
-    objective: str = "ugd"  # "ugd" or "ce"
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self) -> None:
@@ -32,8 +31,7 @@ class TrainConfig:
             raise ValueError("epochs/batch_size/learning_rate out of range")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.objective not in ("ugd", "ce"):
-            raise ValueError(f"unknown objective {self.objective!r}")
+        self.loss.validate()
 
 
 @dataclass
@@ -52,68 +50,64 @@ def train(
     params: ModelParams,
     train_set: list[Sample],
     config: TrainConfig,
+    objective: str = "ugd",
 ) -> tuple[ModelParams, list[float]]:
     """Momentum SGD over shuffled mini-batches, one batched forward/backward
     per batch; returns new params and the mean loss per epoch. The
-    one-config case of `train_many`."""
-    return train_many(params, train_set, [config])[0]
+    one-objective case of `train_many`."""
+    return train_many(params, train_set, config, [objective])[0]
 
 
 def train_many(
     params: ModelParams,
     train_set: list[Sample],
-    configs: list[TrainConfig],
+    config: TrainConfig,
+    objectives: list[str],
 ) -> list[tuple[ModelParams, list[float]]]:
-    """Train one copy of params per config in lockstep: the copies are
-    stacked on a leading axis, and each mini-batch takes one forward, one
-    loss call and one backward over all of them. The configs may differ
-    only in `objective` and `loss`; each slice then follows exactly the
-    trajectory it would follow alone. Returns (params, mean loss per epoch)
-    per config, in order. Aborts on a non-finite loss or a zero or
-    non-finite embedding, naming the epoch and the config."""
-    if not configs:
-        raise ValueError("need at least one train config")
-    for config in configs:
-        config.validate()
-    shared = configs[0]  # every field but the objective is the same in all
-    for f in fields(TrainConfig):
-        if f.name not in ("objective", "loss") and any(
-                getattr(c, f.name) != getattr(shared, f.name) for c in configs):
-            raise ValueError(f"configs trained together must share {f.name}")
-    weights = LossWeights.of([CE if c.objective == "ce" else c.loss for c in configs])
+    """Train one copy of params per objective in `losses.OBJECTIVES`, all
+    under one config, in lockstep: the copies are stacked, and each
+    mini-batch is one forward, loss and backward call over all of them, each
+    slice bit-identical to training it alone. Returns (params, mean loss per
+    epoch) per objective, in order. Aborts on a non-finite loss or a zero or
+    non-finite embedding, naming the epoch and the objective."""
+    objectives = list(objectives)
+    if not objectives:
+        raise ValueError("need at least one objective")
+    config.validate()
+    weights = LossWeights.of(config.loss, objectives)
     features, labels = _stack(train_set, params)
-    stacked = ModelParams.stack([params] * len(configs))
+    stacked = ModelParams.stack([params] * len(objectives))
     velocity = ModelGrads.zeros_like(stacked)
     slots = [*zip(stacked.weights, velocity.weights), *zip(stacked.biases, velocity.biases),
              (stacked.head, velocity.head)]
-    rng = np.random.default_rng(shared.shuffle_seed)
+    rng = np.random.default_rng(config.shuffle_seed)
     history: list[np.ndarray] = []
-    for epoch in range(shared.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(len(train_set))
         epoch_losses: list[np.ndarray] = []
-        for start in range(0, len(order), shared.batch_size):
-            batch = order[start : start + shared.batch_size]
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
             try:
                 trace = forward(stacked, features[batch])
             except ValueError as exc:
                 # overflowing parameters surface as non-normalizable
                 # embeddings before the loss itself goes non-finite
                 bad = _first_failing_slice(stacked, features[batch])
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch} for {configs[bad]}: {exc}") from exc
+                raise RuntimeError(f"training diverged at epoch {epoch} for objective "
+                                   f"{objectives[bad]!r}: {exc}") from exc
             values, dlogits = loss(trace.logits, labels[batch], weights)
             if not np.isfinite(values).all():
                 bad = int(np.argmin(np.isfinite(values).all(axis=-1)))
-                raise RuntimeError(
-                    f"training diverged: non-finite loss at epoch {epoch} for {configs[bad]}")
+                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch} "
+                                   f"for objective {objectives[bad]!r}")
             epoch_losses.append(values)
             # gradient of the batch-mean loss
             grad = backward(stacked, trace, dlogits / len(batch))
             grads = [*grad.weights, *grad.biases, grad.head]
             for (param, vel), g in zip(slots, grads):
-                vel *= shared.momentum
+                vel *= config.momentum
                 vel += g
-                param -= shared.learning_rate * vel
+                param -= config.learning_rate * vel
         history.append(np.concatenate(epoch_losses, axis=-1).mean(axis=-1))
     return [(p, [float(h[a]) for h in history]) for a, p in enumerate(stacked.unstack())]
 

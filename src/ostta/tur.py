@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN, atomic_open
+from .data import UNKNOWN, atomic_open, from_json
 from .knn import KnnIndex, build_index, query
 from .model import ModelParams, forward
 from .numeric import l2_normalize
@@ -42,6 +42,8 @@ class TurConfig:
     def validate(self) -> None:
         if not 0.0 < self.ema_weight < 1.0:
             raise ValueError("ema_weight must be in (0, 1)")
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be >= 1")
 
 
 @dataclass
@@ -213,20 +215,26 @@ def save_snapshot(state: TurState, path: str) -> None:
 def load_snapshot(path: str, bank: EmbeddingBank, params: ModelParams) -> TurState:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != SNAPSHOT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a format-{SNAPSHOT_FORMAT} engine snapshot")
     model = _fingerprint(params)
     if payload.get("model") != model:
         raise ValueError(f"{path}: a snapshot of model {payload.get('model')}, not of {model}")
-    state = init_tur(bank, params, TurConfig(**payload["config"]))
+    steps = payload.get("step_count")
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"{path}: step_count must be a non-negative int, got {steps!r}")
+    try:
+        state = init_tur(bank, params, from_json(TurConfig, payload.get("config"), "config"))
+    except ValueError as exc:  # a config of the wrong keys, types or values for this bank
+        raise ValueError(f"{path}: {exc}") from None
     for name in ("target_prototypes", "memory_sum", "memory_count", "followup_prototypes"):
         fresh = getattr(state, name)  # shaped by the model
         try:
-            value = np.array(payload[name], dtype=fresh.dtype)
+            value = np.array(payload.get(name), dtype=fresh.dtype)
         except (TypeError, ValueError) as exc:  # a dict, a ragged list, a string
             raise ValueError(f"{path}: {name} is not an array of numbers ({exc})") from None
         if value.shape != fresh.shape:
             raise ValueError(f"{path}: {name} has shape {value.shape}, the model needs {fresh.shape}")
         setattr(state, name, value)
-    state.step_count = payload["step_count"]
+    state.step_count = steps
     return state

@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostta.cli import _arm_train_config, _argmax_labels
+from ostta.cli import _argmax_labels
 from ostta.data import UNKNOWN, BlobSpec, generate_blobs
-from ostta.losses import LossConfig, ce_loss, sce_loss, ua_loss, ugd_loss
+from ostta.losses import OBJECTIVES, LossConfig, ce_loss, sce_loss, ua_loss, ugd_loss
 from ostta.metrics import decision_grid
 from ostta.model import ModelParams, backward, forward, init_model
 from ostta.trainer import TrainConfig, train, train_many
@@ -28,8 +28,6 @@ LOSSES = {
     "ua": ua_loss,
     "sce": lambda lg, y: sce_loss(lg, y, LossConfig(tau=2.0, lam=0.05)),
     "ugd": lambda lg, y: ugd_loss(lg, y, LossConfig()),
-    "ugd_no_ua": lambda lg, y: ugd_loss(lg, y, LossConfig(enable_ua=False)),
-    "ugd_no_sce": lambda lg, y: ugd_loss(lg, y, LossConfig(enable_sce=False)),
 }
 
 seeds = st.integers(0, 2**32 - 1)
@@ -136,21 +134,17 @@ def test_stacked_forward_backward_equal_one_model_calls(seed, n, hidden, arms, s
             assert np.array_equal(grads.biases[i][a], g.biases[i])
 
 
-ARM_NAMES = ("ce", "ugd_no_ua", "ugd_no_sce", "ugd")
-
-
 @settings(max_examples=15, deadline=None)
-@given(seed=seeds, arms=st.lists(st.sampled_from(ARM_NAMES), min_size=1, max_size=4, unique=True),
+@given(seed=seeds, objectives=st.lists(st.sampled_from(list(OBJECTIVES)), min_size=1, max_size=4),
        tau=st.floats(0.5, 10.0), lam=st.floats(0.0, 0.5), batch_size=st.integers(1, 9))
-def test_lockstep_slices_equal_one_config_training(seed, arms, tau, lam, batch_size):
+def test_lockstep_slices_equal_one_config_training(seed, objectives, tau, lam, batch_size):
     train_set, _ = generate_blobs(BlobSpec(samples_per_cluster=6, seed=seed % 1000))
     params = init_model(2, 4, 3, seed, hidden=(6,))
-    base = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=seed,
-                       loss=LossConfig(tau=tau, lam=lam))
-    configs = [_arm_train_config(base, arm) for arm in arms]
-    together = train_many(params, train_set, configs)
-    assert len(together) == len(configs)
-    for config, (got, history) in zip(configs, together):
-        want, want_history = train(params, train_set, config)
+    config = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=seed,
+                         loss=LossConfig(tau=tau, lam=lam))
+    together = train_many(params, train_set, config, objectives)
+    assert len(together) == len(objectives)
+    for objective, (got, history) in zip(objectives, together):
+        want, want_history = train(params, train_set, config, objective)
         assert got.param_bytes() == want.param_bytes()
         assert history == want_history

@@ -9,13 +9,14 @@ from ostta.cli import (
     ARMS,
     ExperimentConfig,
     ModelSpec,
-    _arm_train_config,
     _checkpoint_hash,
+    _train_cached,
     config_from_dict,
     main,
     run_experiment,
 )
-from ostta.data import BlobSpec, ShiftSpec
+from ostta.data import BlobSpec, ShiftSpec, generate_blobs
+from ostta.losses import OBJECTIVES
 from ostta.trainer import TrainConfig
 from ostta.tur import TurConfig
 
@@ -50,34 +51,70 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"tur": {"cold_start_mode": "copy_source"}})
 
 
+@pytest.mark.parametrize("payload, where, key", [
+    ({"train": {"objective": "ce"}}, "config.train", "objective"),
+    ({"train": {"loss": {"enable_ua": False}}}, "config.train.loss", "enable_ua"),
+    ({"train": {"loss": {"enable_sce": False}}}, "config.train.loss", "enable_sce"),
+])
+def test_config_rejects_the_removed_objective_keys(payload, where, key):
+    # the arm alone chooses the objective
+    with pytest.raises(ValueError, match=rf"unknown config keys at {where}: \['{key}'\]"):
+        config_from_dict(payload)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(arms=("svm",)).validate()
     with pytest.raises(ValueError):
         _small_config(stream_seeds=()).validate()
+    _small_config(grid_resolution=2, tur=TurConfig(k=30)).validate()  # k = the bank's 3 * 10 rows
 
 
-def test_arm_train_configs():
-    base = TrainConfig()
-    assert _arm_train_config(base, "ce").objective == "ce"
-    assert _arm_train_config(base, "ugd").objective == "ugd"
-    no_ua = _arm_train_config(base, "ugd_no_ua")
-    assert not no_ua.loss.enable_ua and no_ua.loss.enable_sce
-    no_sce = _arm_train_config(base, "ugd_no_sce")
-    assert no_sce.loss.enable_ua and not no_sce.loss.enable_sce
-    # art shares the full ugd objective
-    assert _arm_train_config(base, "art") == _arm_train_config(base, "ugd")
+@pytest.mark.parametrize("payload, message", [
+    ({"grid_resolution": 1}, "grid_resolution=1 must be >= 2"),
+    ({"tur": {"k": 0}}, "k=0 must be >= 1"),
+    ({"tur": {"k": 301}}, "tur.k=301 exceeds the source bank's 300 rows"),
+    ({"blob": {"samples_per_cluster": 3}}, "tur.k=10 exceeds the source bank's 9 rows"),
+])
+def test_cli_rejects_bad_config_values_before_any_work(tmp_path, capsys, payload, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert main(["run", "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert os.listdir(outdir) == []  # no checkpoint, bank, report or grid
+
+
+def test_arm_train_configs(tmp_path, monkeypatch):
+    # every arm trains the objective of its own name, but art, which takes ugd's model
+    from ostta import cli
+
+    assert ARMS == (*OBJECTIVES, "art")
+    trained = []
+
+    def recording(params, train_set, config, objectives):
+        trained.append((config, objectives))
+        return real(params, train_set, config, objectives)
+
+    real = cli.train_many
+    monkeypatch.setattr(cli, "train_many", recording)
+    cfg = _small_config()
+    arms = ("art", "ce", "ugd_no_sce", "ugd", "ugd_no_ua")
+    models = _train_cached(cfg, arms, generate_blobs(cfg.blob)[0], str(tmp_path))
+    assert trained == [(cfg.train, ["ugd", "ce", "ugd_no_sce", "ugd_no_ua"])]
+    assert models["art"] is models["ugd"]
+    assert len({id(m) for m in models.values()}) == 4
 
 
 def test_checkpoint_hash_sensitivity():
     cfg = _small_config()
-    h_ugd = _checkpoint_hash(cfg, _arm_train_config(cfg.train, "ugd"))
-    h_ce = _checkpoint_hash(cfg, _arm_train_config(cfg.train, "ce"))
-    h_art = _checkpoint_hash(cfg, _arm_train_config(cfg.train, "art"))
-    assert h_ugd != h_ce
-    assert h_ugd == h_art  # identical training config -> shared cache
+    hashes = {objective: _checkpoint_hash(cfg, objective) for objective in OBJECTIVES}
+    assert len(set(hashes.values())) == len(OBJECTIVES)
     other = dataclasses.replace(cfg, blob=BlobSpec(samples_per_cluster=10, seed=1))
-    assert _checkpoint_hash(other, _arm_train_config(other.train, "ugd")) != h_ugd
+    assert _checkpoint_hash(other, "ugd") != hashes["ugd"]
+    retuned = dataclasses.replace(cfg, train=TrainConfig(epochs=3))
+    assert _checkpoint_hash(retuned, "ce") != hashes["ce"]
 
 
 def test_run_experiment_artifacts(tmp_path):
@@ -218,8 +255,8 @@ def test_cli_rejects_config_section_that_is_not_an_object(tmp_path, capsys, payl
     ({"tur": {"k": "x"}}, "config.tur.k must be int, got str 'x'"),
     ({"blob": {"samples_per_cluster": "5"}}, "config.blob.samples_per_cluster must be int"),
     ({"train": {"epochs": True}}, "config.train.epochs must be int, got bool"),
-    ({"train": {"loss": {"enable_ua": 0}}}, "config.train.loss.enable_ua must be bool"),
-    ({"train": {"objective": 1}}, "config.train.objective must be str"),
+    ({"train": {"loss": {"tau": "8"}}}, "config.train.loss.tau must be float, got str"),
+    ({"train": {"shuffle_seed": 1.5}}, "config.train.shuffle_seed must be int"),
     ({"shift": {"noise_std": None}}, "config.shift.noise_std must be float"),
     ({"model": {"hidden": [8, 2.5]}}, "config.model.hidden[1] must be int"),
     ({"blob": {"center_box": [-8.0]}}, "config.blob.center_box must hold 2 values, got 1"),
@@ -244,18 +281,18 @@ def test_run_experiment_trains_missing_configs_in_one_call(tmp_path, monkeypatch
 
     calls = []
 
-    def counting(params, train_set, configs):
-        calls.append([c.objective for c in configs])
-        return real(params, train_set, configs)
+    def counting(params, train_set, config, objectives):
+        calls.append(objectives)
+        return real(params, train_set, config, objectives)
 
     real = cli.train_many
     monkeypatch.setattr(cli, "train_many", counting)
     outdir = tmp_path / "out"
     reports = run_experiment(_small_config(arms=ARMS), str(outdir))
-    # art reuses ugd's config: four distinct configs, one lockstep call
-    assert calls == [["ce", "ugd", "ugd", "ugd"]]
+    # art reuses ugd's model: four distinct objectives, one lockstep call
+    assert calls == [["ce", "ugd_no_ua", "ugd_no_sce", "ugd"]]
     assert len([n for n in os.listdir(outdir) if n.endswith(".ckpt")]) == 4
-    ce = _checkpoint_hash(_small_config(), _arm_train_config(TrainConfig(epochs=2), "ce"))
+    ce = _checkpoint_hash(_small_config(), "ce")
     os.remove(outdir / f"bank_{ce}.csv.proto.csv")
     again = run_experiment(_small_config(arms=ARMS), str(outdir), force=True)
     assert calls[1:] == [["ce"]]
@@ -263,7 +300,7 @@ def test_run_experiment_trains_missing_configs_in_one_call(tmp_path, monkeypatch
 
 
 def test_run_experiment_writes_no_cache_when_a_slice_diverges(tmp_path, capsys):
-    # tau so small that logits / tau overflow: the ugd slice diverges, ce does not
+    # tau so small that logits / tau overflow: the ugd slice diverges, ce (tau 1) does not
     payload = dataclasses.asdict(_small_config(arms=("ce", "ugd", "art")))
     payload["train"]["loss"]["tau"] = 1e-320
     config_path = tmp_path / "config.json"
@@ -271,7 +308,7 @@ def test_run_experiment_writes_no_cache_when_a_slice_diverges(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--outdir", str(outdir)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
-    assert "diverged" in error and "tau=1e-320" in error and "objective='ce'" not in error
+    assert "diverged" in error and "objective 'ugd'" in error and "'ce'" not in error
     assert os.listdir(outdir) == []
 
 

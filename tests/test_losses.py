@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from ostta.losses import LossConfig, ce_loss, sce_loss, ua_loss, ugd_loss
+from ostta.losses import (
+    OBJECTIVES,
+    LossConfig,
+    LossWeights,
+    ce_loss,
+    loss,
+    sce_loss,
+    ua_loss,
+    ugd_loss,
+)
 
 
 def finite_diff(fn, logits, eps=1e-6):
@@ -181,17 +190,28 @@ def test_ugd_hand_value():
 
 
 def test_ugd_ablation_flags():
+    # each objective is its table row of terms; ce ignores the config's tau and lam
     logits = np.array([0.5, -0.2, 0.1, 0.3])
     y = 1
-    v_no_ua, _ = ugd_loss(logits, y, LossConfig(enable_ua=False))
-    v_no_sce, _ = ugd_loss(logits, y, LossConfig(enable_sce=False))
-    assert v_no_ua == pytest.approx(sce_loss(logits, y, LossConfig(tau=2.0, lam=0.05))[0], abs=1e-12)
-    assert v_no_sce == pytest.approx(ua_loss(logits, y)[0], abs=1e-12)
+    cfg = LossConfig(tau=3.0, lam=0.1)
+    want = {
+        "ce": ce_loss(logits, y)[0],
+        "ugd_no_ua": sce_loss(logits, y, cfg)[0],
+        "ugd_no_sce": ua_loss(logits, y)[0],
+        "ugd": ugd_loss(logits, y, cfg)[0],
+    }
+    assert set(want) == set(OBJECTIVES)
+    for name, value in want.items():
+        assert loss(logits, y, LossWeights.of(cfg, name))[0] == pytest.approx(value, abs=1e-12)
+    stacked, _ = loss(np.stack([logits[None]] * 4), [y], LossWeights.of(cfg, list(want)))
+    np.testing.assert_allclose(stacked[:, 0], list(want.values()), rtol=0, atol=1e-12)
 
 
-def test_ugd_empty_objective_rejected():
-    with pytest.raises(ValueError):
-        ugd_loss(np.zeros(4), 0, LossConfig(enable_ua=False, enable_sce=False))
+def test_loss_weights_reject_an_unknown_objective():
+    with pytest.raises(ValueError, match=r"unknown objective in \['art'\]"):
+        LossWeights.of(LossConfig(), "art")
+    with pytest.raises(ValueError, match="unknown objective"):
+        LossWeights.of(LossConfig(), ["ce", ""])
 
 
 def test_ugd_gradient_finite_difference():

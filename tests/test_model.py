@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -172,11 +173,38 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(str(path))
 
 
+def _with_header(**changes):
+    """Damage that rewrites header fields of a checkpoint; None drops one."""
+    def damage(raw):
+        line, params = raw.split(b"\n", 1)
+        header = json.loads(line)
+        for key, value in changes.items():
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+        return json.dumps(header).encode() + b"\n" + params
+    return damage
+
+
+HEADER = "the header needs layer_shapes and head_shape"
+
+
 @pytest.mark.parametrize("damage, match", [
     (lambda raw: raw[:-100], "parameter bytes"),
     (lambda raw: raw + bytes(64), "parameter bytes"),
     (lambda raw: b"{not json\n" + raw.split(b"\n", 1)[1], "not a model checkpoint"),
-], ids=["cut-short", "trailing-bytes", "header-not-json"])
+    (_with_header(head_shape=None), HEADER),
+    (_with_header(layer_shapes=None), HEADER),
+    (_with_header(activations=None), HEADER),
+    (_with_header(head_shape="4x8"), HEADER),
+    (_with_header(layer_shapes=[[64.0, 2], [64, 64], [8, 64]]), HEADER),
+    (_with_header(layer_shapes={"0": [64, 2]}), HEADER),
+    (_with_header(activations="tanh"), HEADER),
+    (_with_header(activations=["tanh", "tanh"]), HEADER),
+], ids=["cut-short", "trailing-bytes", "header-not-json", "no-head-shape", "no-layer-shapes",
+        "no-activations", "head-shape-str", "layer-shape-float", "layer-shapes-dict",
+        "activations-str", "activations-too-few"])
 def test_checkpoint_names_the_file_it_rejects(tmp_path, damage, match):
     path = tmp_path / "model.ckpt"
     save_checkpoint(init_model(2, 8, 3, 7), str(path))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ostta import tur
 from ostta.cli import ExperimentConfig
-from ostta.data import UNKNOWN, BlobSpec, apply_shift, generate_blobs, make_stream
+from ostta.data import UNKNOWN, BlobSpec, Sample, apply_shift, generate_blobs, make_stream
 from ostta.model import init_model
 from ostta.numeric import l2_normalize
 from ostta.trainer import EmbeddingBank, extract_bank, train
@@ -79,7 +79,10 @@ def test_config_validation():
         TurConfig(ema_weight=0.0).validate()
     with pytest.raises(ValueError):
         TurConfig(ema_weight=1.0).validate()
+    with pytest.raises(ValueError, match="k=0 must be >= 1"):
+        TurConfig(k=0).validate()
     TurConfig().validate()
+    TurConfig(k=1).validate()
 
 
 def test_init_memory_seeded_from_head_rows():
@@ -335,8 +338,20 @@ def test_load_snapshot_rejects_old_format_and_bad_shapes(tmp_path):
     old = {k: v for k, v in good.items() if k != "model"}
     old["format"] = 2
     old["target_prototypes"] = {"0": good["target_prototypes"][0]}
+    without = lambda key: {k: v for k, v in good.items() if k != key}  # noqa: E731
     for payload, match in (
         (old, "format-3"),
+        ([good], "format-3"),
+        (without("step_count"), "step_count must be a non-negative int, got None"),
+        (dict(good, step_count="7"), "step_count must be a non-negative int, got '7'"),
+        (dict(good, step_count=-1), "step_count"),
+        (without("config"), "config must be a JSON object, got NoneType"),
+        (dict(good, config=dict(good["config"], cold_start_mode="copy_source")),
+         r"unknown config keys at config: \['cold_start_mode'\]"),
+        (dict(good, config=dict(good["config"], k="x")), "config.k must be int, got str 'x'"),
+        (dict(good, config=dict(good["config"], k=0)), "k=0 must be >= 1"),
+        (dict(good, config=dict(good["config"], k=len(bank) + 1)), "k=91 must be in"),
+        (without("memory_count"), "memory_count"),
         (dict(good, memory_count=good["memory_count"][:-1]), "memory_count"),
         (dict(good, memory_sum=[row[:-1] for row in good["memory_sum"]]), "memory_sum"),
         (dict(good, target_prototypes=good["target_prototypes"][:-1]), "target_prototypes"),
@@ -346,6 +361,23 @@ def test_load_snapshot_rejects_old_format_and_bad_shapes(tmp_path):
         with pytest.raises(ValueError, match=match) as err:
             load_snapshot(str(path), bank, params)
         assert str(path) in str(err.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150), scale=st.floats(0.1, 30.0),
+       ema_weight=st.floats(0.01, 0.99), k=st.integers(1, 90))
+def test_prototypes_stay_unit_and_labels_valid_after_any_stream(seed, n, scale, ema_weight, k):
+    params, bank, _ = _trained_model()
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-12.0, 12.0, size=2)
+    stream = [Sample(center + x, UNKNOWN) for x in rng.normal(size=(n, 2)) * scale]
+    state = init_tur(bank, params, TurConfig(ema_weight=ema_weight, k=k))
+    preds = run_stream(state, stream)
+    for protos in (state.target_prototypes, state.followup_prototypes):
+        assert np.abs(np.linalg.norm(protos, axis=1) - 1.0).max() <= 1e-12
+    valid = {*range(state.num_known), UNKNOWN}
+    assert {p.label for p in preds} <= valid
+    assert set(predict_frozen(state, np.stack([s.features for s in stream])).tolist()) <= valid
 
 
 def test_load_snapshot_rejects_another_model(tmp_path):
