@@ -25,6 +25,7 @@ from .data import (
     Sample,
     ShiftSpec,
     apply_shift,
+    atomic_open,
     from_json,
     generate_blobs,
     load_csv,
@@ -35,7 +36,15 @@ from .losses import OBJECTIVES, LossConfig
 from .metrics import decision_grid, evaluate, save_grid
 from .model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, extract_bank, load_bank, save_bank, train_many
-from .tur import Prediction, TurConfig, init_tur, predict_frozen, run_stream, save_snapshot
+from .tur import (
+    Prediction,
+    TurConfig,
+    block_rows,
+    init_tur,
+    predict_frozen,
+    run_stream,
+    save_snapshot,
+)
 
 # an arm trains the objective of its name; art takes ugd's model and adds the engine
 ARMS = (*OBJECTIVES, "art")
@@ -46,6 +55,13 @@ class ModelSpec:
     embed_dim: int = 8
     hidden: tuple[int, ...] = (64, 64)
     seed: int = 0
+
+    def validate(self) -> None:
+        if self.embed_dim < 1:
+            raise ValueError(f"config.model.embed_dim={self.embed_dim} must be >= 1")
+        for i, width in enumerate(self.hidden):
+            if width < 1:
+                raise ValueError(f"config.model.hidden[{i}]={width} must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,6 +86,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.blob.validate()
+        self.model.validate()
         self.train.validate()
         self.tur.validate()
         for arm in self.arms:
@@ -106,10 +123,22 @@ def _checkpoint_hash(cfg: ExperimentConfig, objective: str) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _argmax_labels(params: ModelParams, x: np.ndarray) -> list[int]:
-    """The classifier's own label per row of x; the last head row is UNKNOWN."""
-    k = np.argmax(forward(params, x).logits, axis=1)
-    return np.where(k == params.num_known, UNKNOWN, k).tolist()
+def _argmax_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The classifier's own label per point of x, a matrix of rows or a
+    stack of them; the last head row is UNKNOWN."""
+    k = np.argmax(forward(params, x).logits, axis=-1)
+    return np.where(k == params.num_known, UNKNOWN, k)
+
+
+def _model_grid(params: ModelParams, bbox, resolution: int):
+    """The classifier's decision grid. A block of lattice rows goes through
+    one forward as a stack of one-row matrices, so every row gets the bits
+    of its own call; one matrix of all the block's points would not. The
+    block's forward trace (input, every layer, z and logits) fits the
+    engine's block budget."""
+    width = params.input_dim + sum(map(len, params.weights)) + params.embed_dim + len(params.head)
+    return decision_grid(lambda pts: _argmax_labels(params, pts), bbox, resolution,
+                         block_rows(width))
 
 
 def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
@@ -148,17 +177,21 @@ def _grid_bbox(samples: list[Sample], margin: float):
     )
 
 
-def _engine_records(preds: list[Prediction], truths: list[int]) -> list[dict]:
-    """One steps-file record per engine prediction, in stream order."""
-    return [{"step": i, "route": p.route, "source_match": p.source_match,
-             "target_match": p.target_match, "pred": p.label, "true": t}
-            for i, (p, t) in enumerate(zip(preds, truths))]
-
-
-def _write_steps(path: str, records: list[dict]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+def _write_steps(path: str, truths: list[int], preds: list) -> None:
+    """The steps file of a stream: per step, `json.dumps(record,
+    sort_keys=True)` of its record. A model label gives the step, pred, true
+    and route "model"; an engine Prediction gives its own route and its
+    source and target matches too. Every value is an int or a plain-word
+    route, so each kind of record is formatted from one template."""
+    if preds and isinstance(preds[0], Prediction):
+        lines = [f'{{"pred": {p.label}, "route": "{p.route}", "source_match": {p.source_match}, '
+                 f'"step": {i}, "target_match": {p.target_match}, "true": {t}}}\n'
+                 for i, (p, t) in enumerate(zip(preds, truths))]
+    else:
+        lines = [f'{{"pred": {p}, "route": "model", "step": {i}, "true": {t}}}\n'
+                 for i, (p, t) in enumerate(zip(preds, truths))]
+    with atomic_open(path) as fh:
+        fh.writelines(lines)
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> dict:
@@ -185,25 +218,23 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
                 state = init_tur(bank, params, cfg.tur)
                 predictions = run_stream(state, stream)
                 preds = [p.label for p in predictions]
-                records = _engine_records(predictions, truths)
                 if grid_state is None:
                     grid_state = state
             else:
-                preds = _argmax_labels(params, np.stack([s.features for s in stream]))
-                records = [{"step": i, "route": "model", "pred": p, "true": t}
-                           for i, (p, t) in enumerate(zip(preds, truths))]
+                preds = predictions = _argmax_labels(
+                    params, np.stack([s.features for s in stream])).tolist()
             report = evaluate(preds, truths, num_known)
             report.to_json(os.path.join(outdir, f"report_{arm}_{seed}.json"))
-            _write_steps(os.path.join(outdir, f"steps_{arm}_{seed}.ndjson"), records)
+            _write_steps(os.path.join(outdir, f"steps_{arm}_{seed}.ndjson"), truths, predictions)
             reports[(arm, seed)] = report
 
         if cfg.blob.dim == 2:
             bbox = _grid_bbox(train_set + shifted_test, cfg.grid_margin)
             if arm == "art" and grid_state is not None:
-                predict = lambda xs: predict_frozen(grid_state, xs)  # noqa: E731
+                grid = decision_grid(lambda pts: predict_frozen(grid_state, pts.reshape(-1, 2)),
+                                     bbox, cfg.grid_resolution, block_rows(len(bank)))
             else:
-                predict = lambda xs: _argmax_labels(params, xs)  # noqa: E731
-            grid = decision_grid(predict, bbox, cfg.grid_resolution)
+                grid = _model_grid(params, bbox, cfg.grid_resolution)
             save_grid(grid, os.path.join(outdir, f"grid_{arm}.csv"))
     return reports
 
@@ -225,6 +256,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
+    cfg.validate()
     os.makedirs(args.outdir, exist_ok=True)
     train_set, _ = generate_blobs(cfg.blob)
     _train_cached(cfg, [args.arm], train_set, args.outdir)
@@ -240,7 +272,7 @@ def _cmd_adapt(args) -> int:
     stream = make_stream(test_set, args.stream_seed)
     state = init_tur(bank, params, cfg.tur)
     preds = run_stream(state, stream)
-    _write_steps(args.steps_out, _engine_records(preds, [s.label for s in stream]))
+    _write_steps(args.steps_out, [s.label for s in stream], preds)
     if args.snapshot_out:
         save_snapshot(state, args.snapshot_out)
     print(f"adapted over {len(stream)} samples; steps written to {args.steps_out}")
@@ -274,7 +306,7 @@ def _cmd_eval(args) -> int:
 def _cmd_grid(args) -> int:
     params = load_checkpoint(args.checkpoint)
     bbox = ((args.xmin, args.xmax), (args.ymin, args.ymax))
-    grid = decision_grid(lambda xs: _argmax_labels(params, xs), bbox, args.resolution)
+    grid = _model_grid(params, bbox, args.resolution)
     save_grid(grid, args.grid_out)
     print(f"wrote {len(grid)} grid points to {args.grid_out}")
     return 0

@@ -20,6 +20,7 @@ from .data import atomic_open
 from .numeric import l2_normalize
 
 _CKPT_MAGIC = "ostta-ckpt-v1"
+_ACTIVATIONS = ("tanh", "linear")
 
 
 @dataclass
@@ -206,6 +207,9 @@ def load_checkpoint(path: str) -> ModelParams:
             and all(map(_is_shape, [*layers, head])) and all(isinstance(a, str) for a in acts)):
         raise ValueError(f"{path}: the header needs layer_shapes and head_shape as [rows, cols] "
                          "lists and one activation name per layer")
+    unknown = [a for a in acts if a not in _ACTIVATIONS]
+    if unknown:
+        raise ValueError(f"{path}: unknown activation {unknown[0]!r}; a layer is one of {_ACTIVATIONS}")
     # weights and bias per layer, then the head, each row-major
     shapes = [tuple(s) for shape in layers for s in (shape, shape[:1])]
     shapes.append(tuple(head))

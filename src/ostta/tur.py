@@ -29,8 +29,9 @@ logger = logging.getLogger(__name__)
 # format 1 kept every follow-up embedding in lists; format 2 kept the target
 # prototypes of present classes only and named no model
 SNAPSHOT_FORMAT = 3
-# Similarities one `embed` call of `run_stream` holds, a block of stream rows
-# times the bank rows: 1 MB of float64 however large the bank.
+# Floats one block holds, its rows times the bank's rows (an `embed` call of
+# `run_stream`, an engine grid block) or times the floats of one row's forward
+# trace (a model grid block): 1 MB of float64 however large the bank.
 _BLOCK_BUDGET = 1 << 17
 
 
@@ -173,12 +174,18 @@ def predict_frozen(state: TurState, x: np.ndarray) -> np.ndarray:
     return np.where(agreed, k_src, followup_predict(state, z))[()]  # one point: a scalar
 
 
+def block_rows(width: int) -> int:
+    """Rows of a block whose rows each hold `width` float64 values, so that
+    the block holds at most _BLOCK_BUDGET of them; at least one row."""
+    return max(1, _BLOCK_BUDGET // width)
+
+
 def run_stream(state: TurState, stream) -> list[Prediction]:
     """Sequentially adapt over an ordered sequence of Samples: `embed` a
     block of the stream at a time, then `step` through its rows in order. A
     one-sample block is embedded as a 1-D sample, the cheaper call."""
     preds: list[Prediction] = []
-    rows = max(1, _BLOCK_BUDGET // len(state.index.bank))
+    rows = block_rows(len(state.index.bank))
     for start in range(0, len(stream), rows):
         block = stream[start : start + rows]
         if len(block) == 1:

@@ -97,16 +97,19 @@ def test_backward_equals_sum_of_one_row_backwards(seed, n, hidden):
 
 
 @props
-@given(seed=seeds, resolution=st.integers(2, 12), hidden=hiddens)
-def test_model_grid_equals_per_point_argmax(seed, resolution, hidden):
+@given(seed=seeds, resolution=st.integers(2, 12), hidden=hiddens, block=st.integers(1, 150))
+def test_model_grid_equals_per_point_argmax(seed, resolution, hidden, block):
+    # any block of lattice rows, from one row to the whole lattice
     rng = np.random.default_rng(seed)
     params = init_model(2, 4, 3, seed, hidden=hidden)
     lo = rng.uniform(-10, 0, size=2)
     bbox = ((lo[0], lo[0] + rng.uniform(0.1, 20)), (lo[1], lo[1] + rng.uniform(0.1, 20)))
-    grid = decision_grid(lambda pts: _argmax_labels(params, pts), bbox, resolution)
-    for x, y, label in grid:
-        k = int(np.argmax(forward(params, np.array([x, y])).logits))
-        assert label == (UNKNOWN if k == params.num_known else k)
+    grid = decision_grid(lambda pts: _argmax_labels(params, pts), bbox, resolution, block)
+    assert len(grid) == resolution**2 and grid.labels.shape == (resolution, resolution)
+    for i, y in enumerate(grid.ys):
+        for j, x in enumerate(grid.xs):
+            k = int(np.argmax(forward(params, np.array([x, y])).logits))
+            assert grid.labels[i, j] == (UNKNOWN if k == params.num_known else k)
 
 
 @props

@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import os
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostta.cli import (
     ARMS,
@@ -11,14 +15,18 @@ from ostta.cli import (
     ModelSpec,
     _checkpoint_hash,
     _train_cached,
+    _write_steps,
     config_from_dict,
     main,
     run_experiment,
 )
-from ostta.data import BlobSpec, ShiftSpec, generate_blobs
+from ostta import data
+from ostta.data import UNKNOWN, BlobSpec, ShiftSpec, generate_blobs
 from ostta.losses import OBJECTIVES
+from ostta.metrics import Grid, evaluate, save_grid
+from ostta.model import init_model, save_checkpoint
 from ostta.trainer import TrainConfig
-from ostta.tur import TurConfig
+from ostta.tur import Prediction, TurConfig
 
 
 def _small_config(**overrides):
@@ -75,6 +83,9 @@ def test_config_validation():
     ({"tur": {"k": 0}}, "k=0 must be >= 1"),
     ({"tur": {"k": 301}}, "tur.k=301 exceeds the source bank's 300 rows"),
     ({"blob": {"samples_per_cluster": 3}}, "tur.k=10 exceeds the source bank's 9 rows"),
+    ({"model": {"embed_dim": 0}}, "config.model.embed_dim=0 must be >= 1"),
+    ({"model": {"hidden": [64, 0]}}, "config.model.hidden[1]=0 must be >= 1"),
+    ({"model": {"hidden": [-3]}}, "config.model.hidden[0]=-3 must be >= 1"),
 ])
 def test_cli_rejects_bad_config_values_before_any_work(tmp_path, capsys, payload, message):
     config_path = tmp_path / "config.json"
@@ -84,6 +95,15 @@ def test_cli_rejects_bad_config_values_before_any_work(tmp_path, capsys, payload
     assert main(["run", "--config", str(config_path), "--outdir", str(outdir)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == message
     assert os.listdir(outdir) == []  # no checkpoint, bank, report or grid
+
+
+def test_cli_train_rejects_a_bad_model_before_any_work(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": {"embed_dim": 0}}))
+    outdir = tmp_path / "out"
+    assert main(["train", "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "config.model.embed_dim=0 must be >= 1"
+    assert not outdir.exists()
 
 
 def test_arm_train_configs(tmp_path, monkeypatch):
@@ -338,3 +358,84 @@ def test_cli_arm_choices_enforced(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["train", "--arm", "resnet", "--outdir", str(tmp_path)])
     assert ARMS == ("ce", "ugd_no_ua", "ugd_no_sce", "ugd", "art")
+
+
+def test_cli_grid_names_a_checkpoint_of_an_unknown_activation(tmp_path, capsys):
+    ckpt = tmp_path / "act.ckpt"
+    save_checkpoint(init_model(2, 4, 3, 0, hidden=(8,)), str(ckpt))
+    line, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["activations"][0] = "relu"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    grid_out = tmp_path / "grid.csv"
+    assert main(["grid", "--checkpoint", str(ckpt), "--xmin", "-1", "--xmax", "1",
+                 "--ymin", "-1", "--ymax", "1", "--grid-out", str(grid_out)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{ckpt}: unknown activation 'relu'")
+    assert not grid_out.exists()
+
+
+any_int = st.integers(-(2**70), 2**70)
+engine_predictions = st.builds(Prediction, any_int, st.sampled_from(["agreed", "followup"]),
+                               any_int, any_int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(truths=st.lists(any_int, min_size=1, max_size=30), engine=st.booleans(), data=st.data())
+def test_steps_lines_equal_json_dumps_of_their_records(truths, engine, data):
+    n = len(truths)
+    if engine:
+        preds = data.draw(st.lists(engine_predictions, min_size=n, max_size=n))
+        records = [{"step": i, "route": p.route, "source_match": p.source_match,
+                    "target_match": p.target_match, "pred": p.label, "true": t}
+                   for i, (p, t) in enumerate(zip(preds, truths))]
+    else:
+        preds = data.draw(st.lists(any_int, min_size=n, max_size=n))
+        records = [{"step": i, "route": "model", "pred": p, "true": t}
+                   for i, (p, t) in enumerate(zip(preds, truths))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "steps.ndjson")
+        _write_steps(path, truths, preds)
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\n")
+    assert lines == [json.dumps(rec, sort_keys=True) for rec in records] + [""]
+
+
+class _DiskFullAfterOneWrite:
+    """A file whose first write lands and whose later writes raise."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+ARTIFACT_WRITERS = {
+    "report": lambda path: evaluate([0, UNKNOWN], [0, UNKNOWN], 1).to_json(path),
+    "steps": lambda path: _write_steps(path, [0, 1, UNKNOWN], [0, UNKNOWN, UNKNOWN]),
+    "grid": lambda path: save_grid(Grid(np.zeros(2), np.arange(2.0), np.zeros((2, 2), int)), path),
+}
+
+
+@pytest.mark.parametrize("kind", ARTIFACT_WRITERS)
+def test_artifact_write_that_raises_leaves_no_file(tmp_path, monkeypatch, kind):
+    real_open = open
+    monkeypatch.setattr(data, "open", lambda *a, **kw: _DiskFullAfterOneWrite(real_open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        ARTIFACT_WRITERS[kind](str(tmp_path / f"{kind}.out"))
+    assert os.listdir(tmp_path) == []  # neither the artifact nor its .tmp

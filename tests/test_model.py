@@ -202,9 +202,10 @@ HEADER = "the header needs layer_shapes and head_shape"
     (_with_header(layer_shapes={"0": [64, 2]}), HEADER),
     (_with_header(activations="tanh"), HEADER),
     (_with_header(activations=["tanh", "tanh"]), HEADER),
+    (_with_header(activations=["tanh", "relu", "linear"]), "unknown activation 'relu'"),
 ], ids=["cut-short", "trailing-bytes", "header-not-json", "no-head-shape", "no-layer-shapes",
         "no-activations", "head-shape-str", "layer-shape-float", "layer-shapes-dict",
-        "activations-str", "activations-too-few"])
+        "activations-str", "activations-too-few", "activation-unknown"])
 def test_checkpoint_names_the_file_it_rejects(tmp_path, damage, match):
     path = tmp_path / "model.ckpt"
     save_checkpoint(init_model(2, 8, 3, 7), str(path))
