@@ -269,6 +269,9 @@ def _cmd_adapt(args) -> int:
     params = load_checkpoint(args.checkpoint)
     bank = load_bank(args.bank)
     test_set = load_csv(args.test_csv)
+    if test_set and len(test_set[0].features) != params.input_dim:
+        raise ValueError(f"{args.test_csv}: {len(test_set[0].features)} features per row, "
+                         f"the checkpoint {args.checkpoint} takes {params.input_dim}")
     stream = make_stream(test_set, args.stream_seed)
     state = init_tur(bank, params, cfg.tur)
     preds = run_stream(state, stream)
@@ -304,6 +307,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    bounds = {flag: getattr(args, flag) for flag in ("xmin", "xmax", "ymin", "ymax")}
+    for flag, value in bounds.items():
+        if not np.isfinite(value):
+            raise ValueError(f"--{flag}={value} must be finite")
+    for lo, hi in (("xmin", "xmax"), ("ymin", "ymax")):
+        if not bounds[lo] < bounds[hi]:
+            raise ValueError(f"--{lo}={bounds[lo]} must be below --{hi}={bounds[hi]}")
     params = load_checkpoint(args.checkpoint)
     bbox = ((args.xmin, args.xmax), (args.ymin, args.ymax))
     grid = _model_grid(params, bbox, args.resolution)

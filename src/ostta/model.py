@@ -1,7 +1,9 @@
 """Feed-forward encoder plus bias-free linear head, with hand-written
 forward and backward passes over batches of input rows.
 
-`ModelParams.stack` puts several models on a leading axis of every array;
+A model's parameters live in one float64 buffer in checkpoint order, and
+its weights, biases and head are views into it. `ModelParams.stack` puts
+several models on a leading axis of the buffer, and so of every view;
 forward and backward then run all of them in one pass of 3-D matrix
 products, and an unstacked model is the no-axis case of the same code.
 
@@ -12,7 +14,8 @@ embedding z = h / ||h|| feeds the embedding-space machinery.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,48 +28,66 @@ _ACTIVATIONS = ("tanh", "linear")
 
 @dataclass
 class ModelParams:
-    weights: list[np.ndarray]      # per encoder layer, shape (out, in)
-    biases: list[np.ndarray]       # per encoder layer, shape (out,)
-    activations: list[str]         # "tanh" or "linear", per encoder layer
-    head: np.ndarray               # (num_known + 1, embed_dim), no bias
+    """Copy one as `ModelParams(p.buffer.copy(), ...)`: a deepcopy would part
+    the views from the copied buffer."""
+    buffer: np.ndarray                 # (P,), or (A, P) for A stacked models
+    activations: list[str]             # "tanh" or "linear", per encoder layer
+    shapes: list[tuple[int, int]]      # (out, in) per encoder layer, then the head's
+    # views into buffer, built from shapes by _views
+    weights: list[np.ndarray] = field(init=False, repr=False)  # per layer, (out, in)
+    biases: list[np.ndarray] = field(init=False, repr=False)   # per layer, (out,)
+    head: np.ndarray = field(init=False, repr=False)           # (num_known + 1, embed_dim)
+
+    def __post_init__(self) -> None:
+        self.weights, self.biases, self.head = _views(self.buffer, self.shapes)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[-1]
+        return self.shapes[0][1]
 
     @property
     def embed_dim(self) -> int:
-        return self.head.shape[-1]
+        return self.shapes[-1][1]
 
     @property
     def num_known(self) -> int:
-        return self.head.shape[-2] - 1
+        return self.shapes[-1][0] - 1
 
     @staticmethod
     def stack(models: list["ModelParams"]) -> "ModelParams":
-        """One ModelParams whose arrays carry a leading axis, one slice per
-        model of the same shapes and activations; forward and backward act
-        on every slice at once."""
-        return ModelParams(
-            [np.stack(ws) for ws in zip(*(m.weights for m in models))],
-            [np.stack(bs) for bs in zip(*(m.biases for m in models))],
-            list(models[0].activations),
-            np.stack([m.head for m in models]),
-        )
+        """One ModelParams over a buffer with one row per model of the same
+        shapes and activations; forward and backward act on every row at
+        once."""
+        return ModelParams(np.stack([m.buffer for m in models]), list(models[0].activations),
+                           list(models[0].shapes))
 
     def unstack(self) -> list["ModelParams"]:
         """The models of a stacked ModelParams, as copies."""
-        return [
-            ModelParams([w[a].copy() for w in self.weights], [b[a].copy() for b in self.biases],
-                        list(self.activations), self.head[a].copy())
-            for a in range(self.head.shape[0])
-        ]
+        return [ModelParams(row.copy(), list(self.activations), list(self.shapes))
+                for row in self.buffer]
 
     def param_bytes(self) -> bytes:
-        chunks = [w.tobytes() for w in self.weights]
-        chunks += [b.tobytes() for b in self.biases]
-        chunks.append(self.head.tobytes())
-        return b"".join(chunks)
+        """The buffer's bytes: the body of this model's checkpoint."""
+        return self.buffer.tobytes()
+
+
+def _views(buffer: np.ndarray, shapes: list[tuple[int, int]]):
+    """Weights, biases and head as views into buffer, which holds per layer
+    its (out, in) weights and then its (out,) bias, then the head, each
+    row-major; a stacked buffer's leading axis leads every view. The one
+    place that knows the parameter layout."""
+    order = [s for out, cols in shapes[:-1] for s in ((out, cols), (out,))] + [tuple(shapes[-1])]
+    lead, views, start = buffer.shape[:-1], [], 0
+    for shape in order:
+        stop = start + math.prod(shape)
+        view = buffer[..., start:stop].reshape(lead + shape)
+        if not np.may_share_memory(view, buffer):  # a copy would drop writes
+            raise AssertionError(f"the view of shape {shape} is a copy")
+        views.append(view)
+        start = stop
+    if start != buffer.shape[-1]:
+        raise ValueError(f"{8 * buffer.shape[-1]} parameter bytes, the shapes need {8 * start}")
+    return views[0:-1:2], views[1:-1:2], views[-1]
 
 
 @dataclass
@@ -76,21 +97,6 @@ class ForwardTrace:
     h: np.ndarray       # penultimate feature
     z: np.ndarray       # unit-norm embedding
     logits: np.ndarray
-
-
-@dataclass
-class ModelGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    head: np.ndarray
-
-    @staticmethod
-    def zeros_like(params: ModelParams) -> "ModelGrads":
-        return ModelGrads(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-            np.zeros_like(params.head),
-        )
 
 
 def init_model(
@@ -106,16 +112,13 @@ def init_model(
         raise ValueError("all dimensions must be >= 1")
     rng = np.random.default_rng(seed)
     sizes = [input_dim, *hidden, embed_dim]
-    weights, biases, acts = [], [], []
-    for i in range(len(sizes) - 1):
-        fan_in = sizes[i]
-        limit = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(sizes[i + 1], fan_in)))
-        biases.append(np.zeros(sizes[i + 1]))
-        acts.append("tanh" if i < len(sizes) - 2 else "linear")
-    limit = 1.0 / np.sqrt(embed_dim)
-    head = rng.uniform(-limit, limit, size=(num_known + 1, embed_dim))
-    return ModelParams(weights, biases, acts, head)
+    shapes = list(zip(sizes[1:], sizes[:-1])) + [(num_known + 1, embed_dim)]
+    count = sum(out * fan_in + out for out, fan_in in shapes[:-1]) + math.prod(shapes[-1])
+    params = ModelParams(np.zeros(count), ["tanh"] * len(hidden) + ["linear"], shapes)
+    for array in (*params.weights, params.head):  # in the order of the draws
+        limit = 1.0 / np.sqrt(array.shape[1])
+        array[...] = rng.uniform(-limit, limit, size=array.shape)
+    return params
 
 
 def _apply_act(pre: np.ndarray, act: str) -> np.ndarray:
@@ -143,49 +146,44 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x, acts, a, l2_normalize(a), a @ params.head.swapaxes(-1, -2))
 
 
-def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> ModelGrads:
+def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> ModelParams:
     """Gradients of the summed row losses w.r.t. all parameters, given
-    dL/dlogits with the shape of trace.logits; per slice for stacked
-    params."""
+    dL/dlogits with the shape of trace.logits, as a ModelParams over a fresh
+    buffer of the layout of params.buffer; per row for stacked params."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != trace.logits.shape:
         raise ValueError("dlogits shape mismatch")
     inputs = [trace.x, *trace.activations]
     if dlogits.ndim == 1:
         dlogits, inputs = dlogits[None], [a[None] for a in inputs]
-    dhead = dlogits.swapaxes(-1, -2) @ inputs[-1]
+    grads = ModelParams(np.empty_like(params.buffer), params.activations, params.shapes)
+    np.matmul(dlogits.swapaxes(-1, -2), inputs[-1], out=grads.head)
     da = dlogits @ params.head
-    n = len(params.weights)
-    dws: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    dbs: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for i in range(n - 1, -1, -1):
+    for i in range(len(params.weights) - 1, -1, -1):
         if params.activations[i] == "tanh":
             dpre = da * (1.0 - inputs[i + 1] ** 2)
         else:
             dpre = da
-        dws[i] = dpre.swapaxes(-1, -2) @ inputs[i]
-        dbs[i] = dpre.sum(axis=-2)
+        np.matmul(dpre.swapaxes(-1, -2), inputs[i], out=grads.weights[i])
+        dpre.sum(axis=-2, out=grads.biases[i])
         if i:
             da = dpre @ params.weights[i]
-    return ModelGrads(dws, dbs, dhead)
+    return grads
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Header line (JSON) + raw little-endian float64 dumps, row-major,
-    in layer order then head. Round-trips bit-exactly. Written through a
+    """Header line (JSON) + the buffer as raw little-endian float64, whose
+    layout `_views` gives. Round-trips bit-exactly. Written through a
     temporary file, so a crash keeps the old checkpoint."""
     header = {
         "magic": _CKPT_MAGIC,
-        "layer_shapes": [list(w.shape) for w in params.weights],
+        "layer_shapes": [list(s) for s in params.shapes[:-1]],
         "activations": params.activations,
-        "head_shape": list(params.head.shape),
+        "head_shape": list(params.shapes[-1]),
     }
     with atomic_open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.head, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.buffer, dtype="<f8").tobytes())
 
 
 def _is_shape(value) -> bool:
@@ -203,21 +201,23 @@ def load_checkpoint(path: str) -> ModelParams:
             raise ValueError(f"not a model checkpoint: {path}")
         raw = fh.read()
     layers, head, acts = (header.get(k) for k in ("layer_shapes", "head_shape", "activations"))
-    if not (isinstance(layers, list) and isinstance(acts, list) and len(acts) == len(layers)
-            and all(map(_is_shape, [*layers, head])) and all(isinstance(a, str) for a in acts)):
+    if not (isinstance(layers, list) and layers and isinstance(acts, list)
+            and len(acts) == len(layers) and all(map(_is_shape, [*layers, head]))
+            and all(isinstance(a, str) for a in acts)):
         raise ValueError(f"{path}: the header needs layer_shapes and head_shape as [rows, cols] "
                          "lists and one activation name per layer")
     unknown = [a for a in acts if a not in _ACTIVATIONS]
     if unknown:
         raise ValueError(f"{path}: unknown activation {unknown[0]!r}; a layer is one of {_ACTIVATIONS}")
-    # weights and bias per layer, then the head, each row-major
-    shapes = [tuple(s) for shape in layers for s in (shape, shape[:1])]
-    shapes.append(tuple(head))
-    sizes = [int(np.prod(s)) for s in shapes]
-    if len(raw) != 8 * sum(sizes):
-        raise ValueError(f"{path}: {len(raw)} parameter bytes, its header needs {8 * sum(sizes)}")
-    arrays, offset = [], 0
-    for shape, count in zip(shapes, sizes):
-        arrays.append(np.frombuffer(raw, "<f8", count, offset).reshape(shape).astype(np.float64))
-        offset += 8 * count
-    return ModelParams(arrays[0:-1:2], arrays[1:-1:2], acts, arrays[-1])
+    widths = [cols for _, cols in layers] + [head[1]]
+    if widths[1:] != [rows for rows, _ in layers] or head[0] < 2:
+        raise ValueError(f"{path}: layer shapes {layers} and head shape {head} do not chain; "
+                         "each layer and the head take the previous layer's rows as columns, "
+                         "and the head needs at least 2 rows")
+    if len(raw) % 8:
+        raise ValueError(f"{path}: {len(raw)} parameter bytes, not a whole number of float64s")
+    try:
+        return ModelParams(np.frombuffer(raw, "<f8").astype(np.float64), acts,
+                           [tuple(s) for s in [*layers, head]])
+    except ValueError as exc:  # a body of the wrong size for its header
+        raise ValueError(f"{path}: {exc}") from None

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Sample, atomic_open, read_labelled_csv
 from .losses import LossConfig, LossWeights, check_labels, loss
-from .model import ModelGrads, ModelParams, backward, forward
+from .model import ModelParams, backward, forward
 from .numeric import l2_normalize
 
 # Rows per forward call in extract_bank: one matrix over a large bank would
@@ -77,9 +77,7 @@ def train_many(
     weights = LossWeights.of(config.loss, objectives)
     features, labels = _stack(train_set, params)
     stacked = ModelParams.stack([params] * len(objectives))
-    velocity = ModelGrads.zeros_like(stacked)
-    slots = [*zip(stacked.weights, velocity.weights), *zip(stacked.biases, velocity.biases),
-             (stacked.head, velocity.head)]
+    velocity = np.zeros_like(stacked.buffer)
     rng = np.random.default_rng(config.shuffle_seed)
     history: list[np.ndarray] = []
     for epoch in range(config.epochs):
@@ -103,11 +101,9 @@ def train_many(
             epoch_losses.append(values)
             # gradient of the batch-mean loss
             grad = backward(stacked, trace, dlogits / len(batch))
-            grads = [*grad.weights, *grad.biases, grad.head]
-            for (param, vel), g in zip(slots, grads):
-                vel *= config.momentum
-                vel += g
-                param -= config.learning_rate * vel
+            velocity *= config.momentum
+            velocity += grad.buffer
+            stacked.buffer -= config.learning_rate * velocity
         history.append(np.concatenate(epoch_losses, axis=-1).mean(axis=-1))
     return [(p, [float(h[a]) for h in history]) for a, p in enumerate(stacked.unstack())]
 

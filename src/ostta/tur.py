@@ -27,8 +27,10 @@ from .trainer import EmbeddingBank
 logger = logging.getLogger(__name__)
 
 # format 1 kept every follow-up embedding in lists; format 2 kept the target
-# prototypes of present classes only and named no model
-SNAPSHOT_FORMAT = 3
+# prototypes of present classes only and named no model; format 3 hashed the
+# model's parameters as all weights, then all biases, then the head, where
+# format 4 hashes them in checkpoint order
+SNAPSHOT_FORMAT = 4
 # Floats one block holds, its rows times the bank's rows (an `embed` call of
 # `run_stream`, an engine grid block) or times the floats of one row's forward
 # trace (a model grid block): 1 MB of float64 however large the bank.

@@ -25,7 +25,7 @@ from ostta.data import UNKNOWN, BlobSpec, ShiftSpec, generate_blobs
 from ostta.losses import OBJECTIVES
 from ostta.metrics import Grid, evaluate, save_grid
 from ostta.model import init_model, save_checkpoint
-from ostta.trainer import TrainConfig
+from ostta.trainer import TrainConfig, extract_bank, save_bank
 from ostta.tur import Prediction, TurConfig
 
 
@@ -373,6 +373,40 @@ def test_cli_grid_names_a_checkpoint_of_an_unknown_activation(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error.startswith(f"{ckpt}: unknown activation 'relu'")
     assert not grid_out.exists()
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["nan", "1", "-1", "1"], "--xmin=nan must be finite"),
+    (["-1", "inf", "-1", "1"], "--xmax=inf must be finite"),
+    (["-1", "1", "-inf", "1"], "--ymin=-inf must be finite"),
+    (["1", "1", "-1", "1"], "--xmin=1.0 must be below --xmax=1.0"),
+    (["-1", "1", "2", "-2"], "--ymin=2.0 must be below --ymax=-2.0"),
+])
+def test_cli_grid_rejects_a_bad_bound_before_any_file(tmp_path, capsys, bounds, message):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(2, 4, 3, 0, hidden=(8,)), str(ckpt))
+    grid_out = tmp_path / "grid.csv"
+    flags = [f"{flag}={value}" for flag, value in zip(("--xmin", "--xmax", "--ymin", "--ymax"),
+                                                       bounds)]
+    assert main(["grid", "--checkpoint", str(ckpt), *flags, "--grid-out", str(grid_out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert not grid_out.exists()
+
+
+def test_cli_adapt_rejects_a_test_csv_of_the_wrong_width(tmp_path, capsys):
+    ckpt, bank_path = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.csv")
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    save_checkpoint(params, ckpt)
+    train_set, _ = generate_blobs(BlobSpec(samples_per_cluster=5))
+    save_bank(extract_bank(params, train_set), bank_path)
+    test_csv = tmp_path / "wide.csv"
+    test_csv.write_text("x0,x1,x2,label\n0.5,-1.0,2.0,1\n1.0,0.0,-0.5,unknown\n")
+    steps, snap = tmp_path / "steps.ndjson", tmp_path / "snap.json"
+    assert main(["adapt", "--checkpoint", ckpt, "--bank", bank_path, "--test-csv", str(test_csv),
+                 "--steps-out", str(steps), "--snapshot-out", str(snap)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"{test_csv}: 3 features per row, the checkpoint {ckpt} takes 2"
+    assert not steps.exists() and not snap.exists()
 
 
 any_int = st.integers(-(2**70), 2**70)

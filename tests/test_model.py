@@ -1,9 +1,10 @@
-import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostta.losses import LossConfig, ce_loss, ugd_loss
 from ostta.model import (
@@ -17,30 +18,16 @@ from ostta.model import (
 
 
 def _flat_params(params):
-    parts = [w.ravel() for w in params.weights]
-    parts += [b.ravel() for b in params.biases]
-    parts.append(params.head.ravel())
-    return np.concatenate(parts)
+    return params.buffer.copy()
 
 
 def _flat_grads(grads):
-    parts = [w.ravel() for w in grads.weights]
-    parts += [b.ravel() for b in grads.biases]
-    parts.append(grads.head.ravel())
-    return np.concatenate(parts)
+    return grads.buffer.copy()
 
 
 def _set_flat(params, vec):
-    out = copy.deepcopy(params)
-    pos = 0
-    for w in out.weights:
-        w[...] = vec[pos : pos + w.size].reshape(w.shape)
-        pos += w.size
-    for b in out.biases:
-        b[...] = vec[pos : pos + b.size].reshape(b.shape)
-        pos += b.size
-    out.head[...] = vec[pos : pos + out.head.size].reshape(out.head.shape)
-    return out
+    # a new buffer, not a deepcopy: that would part the views from it
+    return ModelParams(vec.copy(), list(params.activations), list(params.shapes))
 
 
 def test_init_shapes_and_seeding():
@@ -159,7 +146,8 @@ def test_checkpoint_failing_mid_write_keeps_the_old_file(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(p, str(path))
     before = path.read_bytes()
-    broken = dataclasses.replace(p, head=np.full(p.head.shape, "x", dtype=object))  # fails after the layers
+    # a body that fails to convert, after the header is written
+    broken = dataclasses.replace(p, buffer=np.full(p.buffer.shape, "x", dtype=object))
     with pytest.raises(ValueError):
         save_checkpoint(broken, str(path))
     assert path.read_bytes() == before
@@ -202,10 +190,16 @@ HEADER = "the header needs layer_shapes and head_shape"
     (_with_header(layer_shapes={"0": [64, 2]}), HEADER),
     (_with_header(activations="tanh"), HEADER),
     (_with_header(activations=["tanh", "tanh"]), HEADER),
+    (_with_header(layer_shapes=[], activations=[]), HEADER),
     (_with_header(activations=["tanh", "relu", "linear"]), "unknown activation 'relu'"),
+    (_with_header(layer_shapes=[[4, 2], [8, 5]], activations=["tanh", "linear"]), "do not chain"),
+    (_with_header(layer_shapes=[[64, 2], [64, 63], [8, 64]]), "do not chain"),
+    (_with_header(head_shape=[4, 7]), "do not chain"),
+    (_with_header(head_shape=[1, 8]), "at least 2 rows"),
 ], ids=["cut-short", "trailing-bytes", "header-not-json", "no-head-shape", "no-layer-shapes",
         "no-activations", "head-shape-str", "layer-shape-float", "layer-shapes-dict",
-        "activations-str", "activations-too-few", "activation-unknown"])
+        "activations-str", "activations-too-few", "layers-empty", "activation-unknown",
+        "layers-do-not-chain", "layer-width-off-by-one", "head-width-not-embed", "head-one-row"])
 def test_checkpoint_names_the_file_it_rejects(tmp_path, damage, match):
     path = tmp_path / "model.ckpt"
     save_checkpoint(init_model(2, 8, 3, 7), str(path))
@@ -213,6 +207,34 @@ def test_checkpoint_names_the_file_it_rejects(tmp_path, damage, match):
     with pytest.raises(ValueError, match=match) as err:
         load_checkpoint(str(path))
     assert str(path) in str(err.value)
+
+
+def _views_share_the_buffer(params):
+    for array in (*params.weights, *params.biases, params.head):
+        assert np.shares_memory(array, params.buffer)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hidden=st.lists(st.integers(1, 9), max_size=3), embed_dim=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1), arms=st.integers(1, 3))
+def test_every_parameter_array_is_a_view_of_the_buffer(tmp_path_factory, hidden, embed_dim, seed,
+                                                        arms):
+    params = init_model(3, embed_dim, 2, seed, hidden=tuple(hidden))
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(params, str(path))
+    loaded = load_checkpoint(str(path))
+    assert params.param_bytes() == loaded.param_bytes() == path.read_bytes().split(b"\n", 1)[1]
+    stacked = ModelParams.stack([params] * arms)
+    x = np.random.default_rng(seed).normal(size=(4, 3))
+    trace = forward(stacked, x)
+    grads = backward(stacked, trace, np.ones_like(trace.logits))
+    for model in (params, loaded, stacked, *stacked.unstack(), grads):
+        _views_share_the_buffer(model)
+    for model in (loaded, stacked):
+        for index in (0, -1):  # the first layer's first weight, the head's last entry
+            before = forward(model, x).logits
+            model.buffer[..., index] += 1.0
+            assert not np.array_equal(forward(model, x).logits, before)
 
 
 def test_init_rejects_bad_dims():

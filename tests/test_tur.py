@@ -320,7 +320,7 @@ def test_snapshot_size_does_not_grow_with_stream(tmp_path):
         run_stream(state, part)
         save_snapshot(state, str(tmp_path / "snap.json"))
         payload = json.loads((tmp_path / "snap.json").read_text())
-        assert payload["format"] == 3
+        assert payload["format"] == 4
         shapes.append([np.shape(payload[key]) for key in
                        ("target_prototypes", "memory_sum", "memory_count", "followup_prototypes")])
     assert shapes[0] == shapes[1] == [(3, 8), (4, 8), (4,), (4, 8)]
@@ -340,8 +340,9 @@ def test_load_snapshot_rejects_old_format_and_bad_shapes(tmp_path):
     old["target_prototypes"] = {"0": good["target_prototypes"][0]}
     without = lambda key: {k: v for k, v in good.items() if k != key}  # noqa: E731
     for payload, match in (
-        (old, "format-3"),
-        ([good], "format-3"),
+        (old, "format-4"),
+        (dict(good, format=3), "format-4"),
+        ([good], "format-4"),
         (without("step_count"), "step_count must be a non-negative int, got None"),
         (dict(good, step_count="7"), "step_count must be a non-negative int, got '7'"),
         (dict(good, step_count=-1), "step_count"),
