@@ -272,6 +272,11 @@ def _cmd_adapt(args) -> int:
     if test_set and len(test_set[0].features) != params.input_dim:
         raise ValueError(f"{args.test_csv}: {len(test_set[0].features)} features per row, "
                          f"the checkpoint {args.checkpoint} takes {params.input_dim}")
+    if bank.prototypes.shape != (params.num_known, params.embed_dim):
+        raise ValueError(f"{args.bank}: embeddings of width {bank.embeddings.shape[1]} and "
+                         f"{len(bank.prototypes)} class prototypes, the checkpoint "
+                         f"{args.checkpoint} embeds to width {params.embed_dim} with "
+                         f"{params.num_known} known classes")
     stream = make_stream(test_set, args.stream_seed)
     state = init_tur(bank, params, cfg.tur)
     preds = run_stream(state, stream)
@@ -314,7 +319,12 @@ def _cmd_grid(args) -> int:
     for lo, hi in (("xmin", "xmax"), ("ymin", "ymax")):
         if not bounds[lo] < bounds[hi]:
             raise ValueError(f"--{lo}={bounds[lo]} must be below --{hi}={bounds[hi]}")
+    if args.resolution < 2:
+        raise ValueError(f"--resolution={args.resolution} must be >= 2")
     params = load_checkpoint(args.checkpoint)
+    if params.input_dim != 2:
+        raise ValueError(f"{args.checkpoint}: the model takes {params.input_dim} inputs, "
+                         "and the grid is a 2-D lattice of (x, y) points")
     bbox = ((args.xmin, args.xmax), (args.ymin, args.ymax))
     grid = _model_grid(params, bbox, args.resolution)
     save_grid(grid, args.grid_out)

@@ -190,7 +190,7 @@ def _typed(value, hint, path: str):
 
 def save_csv(dataset: list[Sample], path: str) -> None:
     dim = dataset[0].features.shape[0]
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(dim)] + ["label"])
         for s in dataset:

@@ -216,8 +216,11 @@ def load_checkpoint(path: str) -> ModelParams:
                          "and the head needs at least 2 rows")
     if len(raw) % 8:
         raise ValueError(f"{path}: {len(raw)} parameter bytes, not a whole number of float64s")
+    buffer = np.frombuffer(raw, "<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(buffer))
+    if len(bad):
+        raise ValueError(f"{path}: parameter {bad[0]} is {buffer[bad[0]]}, not finite")
     try:
-        return ModelParams(np.frombuffer(raw, "<f8").astype(np.float64), acts,
-                           [tuple(s) for s in [*layers, head]])
+        return ModelParams(buffer, acts, [tuple(s) for s in [*layers, head]])
     except ValueError as exc:  # a body of the wrong size for its header
         raise ValueError(f"{path}: {exc}") from None

@@ -1,6 +1,7 @@
 """Online unknown-rejection engine: per-sample prediction from cycle-
-consistent prototype matching, EMA target prototypes starting at the source
-prototypes, and a memory bank seeded from the classifier head rows.
+consistent prototype matching over two tables of unit prototypes that follow
+one EMA rule: target prototypes starting at the source prototypes, and
+follow-up prototypes starting at the classifier head rows.
 
 The engine never updates model parameters and never compares a score
 against a fixed cutoff. A step has a state-free half, `embed`, which
@@ -29,8 +30,9 @@ logger = logging.getLogger(__name__)
 # format 1 kept every follow-up embedding in lists; format 2 kept the target
 # prototypes of present classes only and named no model; format 3 hashed the
 # model's parameters as all weights, then all biases, then the head, where
-# format 4 hashes them in checkpoint order
-SNAPSHOT_FORMAT = 4
+# later formats hash them in checkpoint order; format 4 kept the running sums
+# and counts of a running-mean follow-up memory
+SNAPSHOT_FORMAT = 5
 # Floats one block holds, its rows times the bank's rows (an `embed` call of
 # `run_stream`, an engine grid block) or times the floats of one row's forward
 # trace (a model grid block): 1 MB of float64 however large the bank.
@@ -54,9 +56,7 @@ class TurState:
     index: KnnIndex                       # frozen source embeddings
     source_prototypes: np.ndarray         # (num_known, d), frozen
     target_prototypes: np.ndarray         # (num_known, d), EMA from the source prototypes
-    memory_sum: np.ndarray                # (num_known + 1, d), sum of each class's unit vectors
-    memory_count: np.ndarray              # (num_known + 1,), vectors summed per class
-    followup_prototypes: np.ndarray       # (num_known + 1, d), unit rows
+    followup_prototypes: np.ndarray       # (num_known + 1, d), EMA from the head rows
     params: ModelParams                   # read-only; head applied to embeddings
     config: TurConfig
     step_count: int = 0
@@ -76,7 +76,7 @@ class Prediction:
 
 def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> TurState:
     """Fresh state: target prototypes copied from the source prototypes,
-    memory bank holding exactly one renormalized head row per class."""
+    follow-up prototypes the renormalized head rows."""
     config.validate()
     if bank.embeddings.shape[1] != params.embed_dim:
         raise ValueError("bank and head embedding dims disagree")
@@ -85,39 +85,32 @@ def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> Tur
                          f"model's {params.num_known} known classes of width {params.embed_dim}")
     zero = np.flatnonzero(np.linalg.norm(params.head, axis=1) == 0.0)
     if len(zero):
-        raise ValueError(f"head row {zero[0]} is zero: cannot seed memory bank")
-    seeds = np.stack([l2_normalize(row) for row in params.head])
+        raise ValueError(f"head row {zero[0]} is zero: cannot seed the follow-up prototypes")
     return TurState(
         index=build_index(bank, k=config.k),
         source_prototypes=bank.prototypes,
         target_prototypes=bank.prototypes.copy(),
-        memory_sum=seeds.copy(),
-        memory_count=np.ones(len(seeds), dtype=np.int64),
-        followup_prototypes=seeds,
+        followup_prototypes=np.stack([l2_normalize(row) for row in params.head]),
         params=params,
         config=config,
     )
 
 
-def update_target_prototype(state: TurState, k: int, z_t: np.ndarray) -> None:
-    """EMA update of target prototype k, renormalized."""
-    phi, old = state.config.ema_weight, state.target_prototypes[k]
+def update_prototype(state: TurState, table: np.ndarray, k: int, z_t: np.ndarray) -> None:
+    """The one prototype update, of a target or a follow-up prototype: row k
+    of table moves towards z_t by the config's EMA weight, renormalized."""
+    phi = state.config.ema_weight
     try:
-        state.target_prototypes[k] = l2_normalize(phi * z_t + (1.0 - phi) * old)
-    except ValueError:  # unit z_t and old: the mix is zero
-        logger.warning("degenerate EMA for target prototype %d; left unchanged", k)
+        table[k] = l2_normalize(phi * z_t + (1.0 - phi) * table[k])
+    except ValueError:  # unit z_t and row: the mix is zero
+        logger.warning("degenerate EMA for prototype row %d; left unchanged", k)
 
 
 def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
-    """Add z_t to the running sum of the head's predicted class and refresh
-    that class's follow-up prototype, the normalized mean. Returns the class."""
+    """Update the follow-up prototype of the head's predicted class. Returns
+    the class."""
     k = int((state.params.head @ z_t).argmax())
-    state.memory_sum[k] += z_t
-    state.memory_count[k] += 1
-    try:
-        state.followup_prototypes[k] = l2_normalize(state.memory_sum[k] / state.memory_count[k])
-    except ValueError:  # a sum of unit vectors: the mean is zero
-        logger.warning("degenerate follow-up prototype for class %d; left unchanged", k)
+    update_prototype(state, state.followup_prototypes, k, z_t)
     return k
 
 
@@ -154,12 +147,12 @@ def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray) -> Prediction:
     """The stateful half of a step, for one sample embedded by `embed`: route
-    it with `decide`, then update the matched target prototype, or add it to
-    the memory bank and take the follow-up label. Mutates state in place;
-    never touches params."""
+    it with `decide`, then update the matched target prototype, or update the
+    head-predicted follow-up prototype and take the follow-up label. Mutates
+    state in place; never touches params."""
     k_src, k_tgt, agreed = map(int, decide(state, centroid))
     if agreed:
-        update_target_prototype(state, k_src, z_t)
+        update_prototype(state, state.target_prototypes, k_src, z_t)
         pred = Prediction(k_src, "agreed", k_src, k_tgt)
     else:
         update_memory_bank(state, z_t)
@@ -203,8 +196,8 @@ def _fingerprint(params: ModelParams) -> str:
 
 
 def save_snapshot(state: TurState, path: str) -> None:
-    """Resumable snapshot of a size fixed by the model: prototypes, memory
-    sums and counts, step counter, and a fingerprint of the model's
+    """Resumable snapshot of a size fixed by the model: the target and
+    follow-up prototypes, step counter, and a fingerprint of the model's
     parameters (bank and model have their own files). Written through a
     temporary file, so a crash keeps the old snapshot."""
     payload = {
@@ -212,8 +205,6 @@ def save_snapshot(state: TurState, path: str) -> None:
         "model": _fingerprint(state.params),
         "step_count": state.step_count,
         "target_prototypes": state.target_prototypes.tolist(),
-        "memory_sum": state.memory_sum.tolist(),
-        "memory_count": state.memory_count.tolist(),
         "followup_prototypes": state.followup_prototypes.tolist(),
         "config": dataclasses.asdict(state.config),
     }
@@ -236,7 +227,7 @@ def load_snapshot(path: str, bank: EmbeddingBank, params: ModelParams) -> TurSta
         state = init_tur(bank, params, from_json(TurConfig, payload.get("config"), "config"))
     except ValueError as exc:  # a config of the wrong keys, types or values for this bank
         raise ValueError(f"{path}: {exc}") from None
-    for name in ("target_prototypes", "memory_sum", "memory_count", "followup_prototypes"):
+    for name in ("target_prototypes", "followup_prototypes"):
         fresh = getattr(state, name)  # shaped by the model
         try:
             value = np.array(payload.get(name), dtype=fresh.dtype)

@@ -381,15 +381,21 @@ def test_cli_grid_names_a_checkpoint_of_an_unknown_activation(tmp_path, capsys):
     (["-1", "1", "-inf", "1"], "--ymin=-inf must be finite"),
     (["1", "1", "-1", "1"], "--xmin=1.0 must be below --xmax=1.0"),
     (["-1", "1", "2", "-2"], "--ymin=2.0 must be below --ymax=-2.0"),
+    # good bounds, then more flags: a one-point lattice, a checkpoint of 3 inputs
+    (["-1", "1", "-1", "1", "--resolution=1"], "--resolution=1 must be >= 2"),
+    (["-1", "1", "-1", "1", "--checkpoint={wide}"],
+     "{wide}: the model takes 3 inputs, and the grid is a 2-D lattice of (x, y) points"),
 ])
 def test_cli_grid_rejects_a_bad_bound_before_any_file(tmp_path, capsys, bounds, message):
-    ckpt = tmp_path / "model.ckpt"
+    ckpt, wide = tmp_path / "model.ckpt", tmp_path / "wide.ckpt"
     save_checkpoint(init_model(2, 4, 3, 0, hidden=(8,)), str(ckpt))
+    save_checkpoint(init_model(3, 4, 3, 0, hidden=(8,)), str(wide))
     grid_out = tmp_path / "grid.csv"
     flags = [f"{flag}={value}" for flag, value in zip(("--xmin", "--xmax", "--ymin", "--ymax"),
                                                        bounds)]
+    flags += [flag.format(wide=wide) for flag in bounds[4:]]
     assert main(["grid", "--checkpoint", str(ckpt), *flags, "--grid-out", str(grid_out)]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert json.loads(capsys.readouterr().err)["error"] == message.format(wide=wide)
     assert not grid_out.exists()
 
 
@@ -406,6 +412,22 @@ def test_cli_adapt_rejects_a_test_csv_of_the_wrong_width(tmp_path, capsys):
                  "--steps-out", str(steps), "--snapshot-out", str(snap)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"{test_csv}: 3 features per row, the checkpoint {ckpt} takes 2"
+    assert not steps.exists() and not snap.exists()
+
+
+def test_cli_adapt_rejects_a_bank_of_another_embedding_width(tmp_path, capsys):
+    ckpt, bank_path = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.csv")
+    save_checkpoint(init_model(2, 5, 3, 0, hidden=(8,)), ckpt)
+    train_set, test_set = generate_blobs(BlobSpec(samples_per_cluster=5))
+    save_bank(extract_bank(init_model(2, 8, 3, 0, hidden=(8,)), train_set), bank_path)
+    test_csv = str(tmp_path / "test.csv")
+    data.save_csv(test_set, test_csv)
+    steps, snap = tmp_path / "steps.ndjson", tmp_path / "snap.json"
+    assert main(["adapt", "--checkpoint", ckpt, "--bank", bank_path, "--test-csv", test_csv,
+                 "--steps-out", str(steps), "--snapshot-out", str(snap)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == (f"{bank_path}: embeddings of width 8 and 3 class prototypes, the checkpoint "
+                     f"{ckpt} embeds to width 5 with 3 known classes")
     assert not steps.exists() and not snap.exists()
 
 

@@ -147,6 +147,19 @@ def test_load_csv_rejects_missing_header(tmp_path):
         load_csv(str(path))
 
 
+def test_save_csv_failing_mid_write_keeps_the_old_file(tmp_path):
+    _, test = generate_blobs(BlobSpec(samples_per_cluster=5, seed=0))
+    path = tmp_path / "test.csv"
+    save_csv(test, str(path))
+    before = path.read_bytes()
+    broken = test[:2] + [Sample(np.array([0.5, "x"], dtype=object), 0)] + test[2:]
+    with pytest.raises(ValueError):  # float("x") on the third row
+        save_csv(broken, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.csv"]  # no .tmp left
+    assert [s.label for s in load_csv(str(path))] == [s.label for s in test]
+
+
 def test_atomic_open_keeps_the_old_file_on_a_failed_write(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old")

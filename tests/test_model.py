@@ -196,10 +196,13 @@ HEADER = "the header needs layer_shapes and head_shape"
     (_with_header(layer_shapes=[[64, 2], [64, 63], [8, 64]]), "do not chain"),
     (_with_header(head_shape=[4, 7]), "do not chain"),
     (_with_header(head_shape=[1, 8]), "at least 2 rows"),
+    (lambda raw: raw[:-16] + np.array([np.nan, np.inf], "<f8").tobytes(),
+     r"parameter \d+ is nan, not finite"),
 ], ids=["cut-short", "trailing-bytes", "header-not-json", "no-head-shape", "no-layer-shapes",
         "no-activations", "head-shape-str", "layer-shape-float", "layer-shapes-dict",
         "activations-str", "activations-too-few", "layers-empty", "activation-unknown",
-        "layers-do-not-chain", "layer-width-off-by-one", "head-width-not-embed", "head-one-row"])
+        "layers-do-not-chain", "layer-width-off-by-one", "head-width-not-embed", "head-one-row",
+        "non-finite-parameter"])
 def test_checkpoint_names_the_file_it_rejects(tmp_path, damage, match):
     path = tmp_path / "model.ckpt"
     save_checkpoint(init_model(2, 8, 3, 7), str(path))

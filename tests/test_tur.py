@@ -29,7 +29,7 @@ from ostta.tur import (
     save_snapshot,
     step,
     update_memory_bank,
-    update_target_prototype,
+    update_prototype,
 )
 
 
@@ -69,11 +69,6 @@ def _trained_model():
     return params, extract_bank(params, train_set), stream
 
 
-def _memory_bytes(state):
-    return (state.memory_sum.tobytes(), state.memory_count.tobytes(),
-            state.followup_prototypes.tobytes())
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TurConfig(ema_weight=0.0).validate()
@@ -87,14 +82,10 @@ def test_config_validation():
 
 def test_init_memory_seeded_from_head_rows():
     state, _, params = _toy_state()
-    assert state.memory_sum.shape == (4, 4)
-    assert state.memory_count.tolist() == [1, 1, 1, 1]
+    assert state.followup_prototypes.shape == (4, 4)
     for k in range(4):
         np.testing.assert_allclose(
-            state.memory_sum[k], l2_normalize(params.head[k]), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            state.followup_prototypes[k], state.memory_sum[k], atol=1e-12
+            state.followup_prototypes[k], l2_normalize(params.head[k]), atol=1e-12
         )
     assert state.step_count == 0
 
@@ -136,7 +127,7 @@ def test_match_source_argmax():
 def test_ema_update_hand_value():
     state, _, _ = _toy_state(TurConfig(k=3, ema_weight=0.3))
     state.target_prototypes[0] = np.array([1.0, 0.0, 0.0, 0.0])
-    update_target_prototype(state, 0, np.array([0.0, 1.0, 0.0, 0.0]))
+    update_prototype(state, state.target_prototypes, 0, np.array([0.0, 1.0, 0.0, 0.0]))
     expected = np.array([0.7, 0.3, 0.0, 0.0])
     expected /= np.linalg.norm(expected)
     np.testing.assert_allclose(state.target_prototypes[0], expected, atol=1e-12)
@@ -149,32 +140,47 @@ def test_ema_degenerate_left_unchanged():
     state, _, _ = _toy_state(TurConfig(k=3, ema_weight=0.5))
     old = np.array([1.0, 0.0, 0.0, 0.0])
     state.target_prototypes[0] = old.copy()
-    update_target_prototype(state, 0, -old)  # 0.5*z + 0.5*old == 0
+    update_prototype(state, state.target_prototypes, 0, -old)  # 0.5*z + 0.5*old == 0
     np.testing.assert_allclose(state.target_prototypes[0], old, atol=1e-12)
 
 
 def test_memory_bank_update_routes_by_head():
-    state, _, params = _toy_state()
-    seed = state.memory_sum[2].copy()
+    state, _, params = _toy_state(TurConfig(k=3, ema_weight=0.3))
+    state.followup_prototypes = np.eye(4)
     z = l2_normalize(params.head[2])
     k = update_memory_bank(state, z)
     assert k == 2
-    assert state.memory_count[2] == 2
-    mean = np.mean([seed, z], axis=0)
     np.testing.assert_allclose(
-        state.followup_prototypes[2], mean / np.linalg.norm(mean), atol=1e-12
+        state.followup_prototypes[2], l2_normalize(0.3 * z + 0.7 * np.eye(4)[2]), atol=1e-12
     )
+    others = [0, 1, 3]
+    assert np.array_equal(state.followup_prototypes[others], np.eye(4)[others])
 
 
 def test_followup_prototype_hand_value():
-    state, _, params = _toy_state()
+    state, _, params = _toy_state(TurConfig(k=3, ema_weight=0.3))
     e0, e1 = np.eye(4)[0], np.eye(4)[1]
     k = int(np.argmax(params.head @ e1))
-    state.memory_sum[k], state.memory_count[k] = e0, 1
+    state.followup_prototypes[k] = e0
     assert update_memory_bank(state, e1) == k
-    assert state.memory_count[k] == 2
-    s = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(state.followup_prototypes[k], [s, s, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(
+        state.followup_prototypes[k], [0.9191450, 0.3939193, 0.0, 0.0], atol=1e-6
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ema_weight=st.floats(0.01, 0.99))
+def test_followup_update_equals_target_update(seed, ema_weight):
+    # one update rule: from the same row and z, both tables get the same bits
+    state, _, params = _toy_state(TurConfig(k=3, ema_weight=ema_weight))
+    rng = np.random.default_rng(seed)
+    start, z = l2_normalize(rng.normal(size=4)), l2_normalize(rng.normal(size=4))
+    k = int((params.head @ z).argmax())
+    j = k % state.num_known  # the follow-up table has one row more, the unknown class
+    state.target_prototypes[j] = state.followup_prototypes[k] = start
+    update_prototype(state, state.target_prototypes, j, z)
+    assert update_memory_bank(state, z) == k
+    assert state.followup_prototypes[k].tobytes() == state.target_prototypes[j].tobytes()
 
 
 def test_followup_predict_maps_last_to_unknown():
@@ -214,7 +220,13 @@ def test_step_followup_route_grows_memory():
     followups = [p for p in preds if p.route == "followup"]
     # the fixture's stream exercises both routes
     assert len(followups) >= 10 and len(preds) - len(followups) >= 10
-    assert state.memory_count.sum() == 4 + len(followups)
+    # the follow-up prototypes that moved are those of the head's classes of follow-up steps
+    z, _ = embed(state, np.stack([s.features for s in stream]))
+    routed = {int((params.head @ z_t).argmax())
+              for z_t, p in zip(z, preds) if p.route == "followup"}
+    seeds = init_tur(bank, params, TurConfig(k=10)).followup_prototypes
+    moved = {k for k in range(4) if not np.array_equal(state.followup_prototypes[k], seeds[k])}
+    assert moved == routed
     labels = {p.label for p in preds}
     assert labels <= {0, 1, 2, UNKNOWN}
 
@@ -232,17 +244,13 @@ def test_predict_frozen_does_not_mutate():
     params, bank, stream = _trained_model()
     state = init_tur(bank, params, TurConfig(k=10))
     run_stream(state, stream)
-    protos_before = state.target_prototypes.tobytes()
-    memory_before = _memory_bytes(state)
-    steps_before = state.step_count
+    before = _state_bytes(state)
     for s in stream[:20]:
         label = predict_frozen(state, s.features)
         assert label in {0, 1, 2, UNKNOWN}
     labels = predict_frozen(state, np.stack([s.features for s in stream]))
     assert set(labels.tolist()) <= {0, 1, 2, UNKNOWN}
-    assert state.step_count == steps_before
-    assert _memory_bytes(state) == memory_before
-    assert state.target_prototypes.tobytes() == protos_before
+    assert _state_bytes(state) == before
 
 
 def test_snapshot_round_trip(tmp_path):
@@ -261,7 +269,8 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def _state_bytes(state):
-    return _memory_bytes(state) + (state.target_prototypes.tobytes(), state.step_count)
+    return (state.target_prototypes.tobytes(), state.followup_prototypes.tobytes(),
+            state.step_count)
 
 
 @settings(max_examples=25, deadline=None)
@@ -320,10 +329,11 @@ def test_snapshot_size_does_not_grow_with_stream(tmp_path):
         run_stream(state, part)
         save_snapshot(state, str(tmp_path / "snap.json"))
         payload = json.loads((tmp_path / "snap.json").read_text())
-        assert payload["format"] == 4
-        shapes.append([np.shape(payload[key]) for key in
-                       ("target_prototypes", "memory_sum", "memory_count", "followup_prototypes")])
-    assert shapes[0] == shapes[1] == [(3, 8), (4, 8), (4,), (4, 8)]
+        assert payload["format"] == 5
+        assert "memory_sum" not in payload and "memory_count" not in payload
+        shapes.append([np.shape(payload[key])
+                       for key in ("target_prototypes", "followup_prototypes")])
+    assert shapes[0] == shapes[1] == [(3, 8), (4, 8)]
     assert os.listdir(tmp_path) == ["snap.json"]  # the temporary file is gone
 
 
@@ -339,10 +349,14 @@ def test_load_snapshot_rejects_old_format_and_bad_shapes(tmp_path):
     old["format"] = 2
     old["target_prototypes"] = {"0": good["target_prototypes"][0]}
     without = lambda key: {k: v for k, v in good.items() if k != key}  # noqa: E731
+    # format 4 kept the follow-up memory as running sums and counts
+    running_mean = dict(good, format=4, memory_sum=good["followup_prototypes"],
+                        memory_count=[1] * len(good["followup_prototypes"]))
     for payload, match in (
-        (old, "format-4"),
-        (dict(good, format=3), "format-4"),
-        ([good], "format-4"),
+        (old, "format-5"),
+        (dict(good, format=3), "format-5"),
+        (running_mean, "format-5"),
+        ([good], "format-5"),
         (without("step_count"), "step_count must be a non-negative int, got None"),
         (dict(good, step_count="7"), "step_count must be a non-negative int, got '7'"),
         (dict(good, step_count=-1), "step_count"),
@@ -352,9 +366,10 @@ def test_load_snapshot_rejects_old_format_and_bad_shapes(tmp_path):
         (dict(good, config=dict(good["config"], k="x")), "config.k must be int, got str 'x'"),
         (dict(good, config=dict(good["config"], k=0)), "k=0 must be >= 1"),
         (dict(good, config=dict(good["config"], k=len(bank) + 1)), "k=91 must be in"),
-        (without("memory_count"), "memory_count"),
-        (dict(good, memory_count=good["memory_count"][:-1]), "memory_count"),
-        (dict(good, memory_sum=[row[:-1] for row in good["memory_sum"]]), "memory_sum"),
+        (without("followup_prototypes"), "followup_prototypes"),
+        (dict(good, followup_prototypes=good["followup_prototypes"][:-1]), "followup_prototypes"),
+        (dict(good, followup_prototypes=[row[:-1] for row in good["followup_prototypes"]]),
+         "followup_prototypes"),
         (dict(good, target_prototypes=good["target_prototypes"][:-1]), "target_prototypes"),
         (dict(good, target_prototypes={"7": [1.0, 0.0, 0.0]}), "target_prototypes"),
     ):
