@@ -269,7 +269,10 @@ def _cmd_adapt(args) -> int:
     params = load_checkpoint(args.checkpoint)
     bank = load_bank(args.bank)
     test_set = load_csv(args.test_csv)
-    if test_set and len(test_set[0].features) != params.input_dim:
+    if not test_set:
+        raise ValueError(f"--test-csv {args.test_csv}: no rows after the header, "
+                         "nothing to adapt over")
+    if len(test_set[0].features) != params.input_dim:
         raise ValueError(f"{args.test_csv}: {len(test_set[0].features)} features per row, "
                          f"the checkpoint {args.checkpoint} takes {params.input_dim}")
     if bank.prototypes.shape != (params.num_known, params.embed_dim):
@@ -301,10 +304,14 @@ def _read_steps(path: str) -> tuple[list, list]:
             except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{path}, line {line_no}: not a JSON object "
                                  "with pred and true") from None
+    if not preds:
+        raise ValueError(f"{path}: no step records")
     return preds, truths
 
 
 def _cmd_eval(args) -> int:
+    if args.num_known < 1:
+        raise ValueError(f"--num-known={args.num_known} must be >= 1")
     report = evaluate(*_read_steps(args.steps), args.num_known)
     report.to_json(args.report_out)
     print(json.dumps(report.to_dict(), sort_keys=True))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import logsumexp, softmax
+from .numeric import softmax_lse
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,13 @@ OBJECTIVES = {"ce": (False, True), "ugd_no_ua": (False, True),
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Coefficients of `loss`, shaped (A, 1) for A stacked slices or 0-d
-    for unstacked logits, so they broadcast over each slice's rows."""
-    tau: np.ndarray
-    lam: np.ndarray
-    ua: np.ndarray    # bool: UA term on
-    sce: np.ndarray   # bool: SCE term on
+    """Coefficients of `loss`. `divisor` and `on` lead with an axis of the
+    two terms, UA then SCE; then every coefficient is shaped (A, 1) for A
+    stacked slices or (1,) for unstacked logits, so it broadcasts over each
+    slice's rows."""
+    divisor: np.ndarray  # (2, ..., 1, 1): 1 for UA, tau for SCE
+    lam: np.ndarray      # (..., 1): weight of the SCE term's logit-norm penalty
+    on: np.ndarray       # (2, ..., 1) bool: term on
 
     @staticmethod
     def of(config: LossConfig, objectives: str | list[str]) -> "LossWeights":
@@ -52,12 +53,13 @@ class LossWeights:
         names = list(objectives) if stacked else [objectives]
         if not set(names) <= OBJECTIVES.keys():
             raise ValueError(f"unknown objective in {names}; objectives: {tuple(OBJECTIVES)}")
+        lead = (len(names),) if stacked else ()
         tau = [1.0 if name == "ce" else config.tau for name in names]
         lam = [0.0 if name == "ce" else config.lam for name in names]
-        ua, sce = zip(*(OBJECTIVES[name] for name in names))
-        columns = [(tau, np.float64), (lam, np.float64), (ua, bool), (sce, bool)]
-        shape = (-1, 1) if stacked else ()
-        return LossWeights(*(np.array(c, dtype=dtype).reshape(shape) for c, dtype in columns))
+        on = [OBJECTIVES[name] for name in names]
+        return LossWeights(np.array([[1.0] * len(names), tau]).reshape(2, *lead, 1, 1),
+                           np.array(lam).reshape(*lead, 1),
+                           np.array(on, dtype=bool).T.reshape(2, *lead, 1))
 
 
 def check_labels(y: np.ndarray, num_known: int) -> None:
@@ -80,29 +82,27 @@ def loss(logits, y, weights: LossWeights):
     y = np.atleast_1d(np.asarray(y))
     if y.shape != logits.shape[-2:-1]:
         raise ValueError(f"{y.size} labels for {logits.shape[-2]} logit rows")
-    gt = (..., np.arange(len(y)), y)
-    tau = weights.tau[..., None]
+    rows = np.arange(len(y))
     with np.errstate(over="ignore", invalid="ignore"):
-        # unknown activation: NLL of the unknown logit against every logit
-        # but the ground truth, which is masked with -inf (zero gradient)
-        masked = logits.copy()
-        masked[gt] = -np.inf
-        ua_value = logsumexp(masked) - logits[..., -1]
-        ua_grad = softmax(masked)
-        ua_grad[..., -1] -= 1.0
-        # softened CE plus lam * ||logits||; zero subgradient at the origin
-        scaled = logits / tau
-        sce_value = logsumexp(scaled) - scaled[gt]
-        sce_grad = softmax(scaled)
-        sce_grad[gt] -= 1.0
-        sce_grad /= tau
+        # both terms at once, on a leading axis. UA: NLL of the unknown
+        # logit against every logit but the ground truth, which is masked
+        # with -inf (zero gradient); its divisor 1 keeps the logits' bits.
+        # SCE: softened CE over logits / tau.
+        terms = logits / weights.divisor
+        terms[0, ..., rows, y] = -np.inf
+        value, grad = softmax_lse(terms)
+        value[0] -= logits[..., -1]
+        value[1] -= terms[1][..., rows, y]
+        grad[0, ..., -1] -= 1.0
+        grad[1, ..., rows, y] -= 1.0
+        grad /= weights.divisor
+        # SCE's penalty lam * ||logits||, with a zero subgradient at the
+        # origin: a zero row is all zeros, so dividing it by 1 gives zero
         norm = np.sqrt((logits * logits).sum(axis=-1))  # np.linalg.norm's sum, minus its overhead
-        sce_value += weights.lam * norm
-        # a zero row is all zeros, so dividing it by 1 gives the zero subgradient
-        sce_grad += weights.lam[..., None] * logits / np.where(norm > 0, norm, 1.0)[..., None]
-    value = np.where(weights.ua, ua_value, 0.0) + np.where(weights.sce, sce_value, 0.0)
-    grad = (np.where(weights.ua[..., None], ua_grad, 0.0)
-            + np.where(weights.sce[..., None], sce_grad, 0.0))
+        value[1] += weights.lam * norm
+        grad[1] += weights.lam[..., None] * logits / np.where(norm > 0, norm, 1.0)[..., None]
+    value, grad = np.where(weights.on, value, 0.0), np.where(weights.on[..., None], grad, 0.0)
+    value, grad = value[0] + value[1], grad[0] + grad[1]
     return (float(value[0]), grad[0]) if single else (value, grad)
 
 

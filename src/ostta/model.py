@@ -8,8 +8,8 @@ forward and backward then run all of them in one pass of 3-D matrix
 products, and an unstacked model is the no-axis case of the same code.
 
 The head has num_known + 1 rows; the last row is the unknown class. Logits
-are computed from the raw penultimate feature h, while the normalized
-embedding z = h / ||h|| feeds the embedding-space machinery.
+are computed from the raw penultimate feature h; the normalized embedding
+z = h / ||h||, divided out only when read, feeds the embedding machinery.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import atomic_open
-from .numeric import l2_normalize
+from .numeric import l2_norm
 
 _CKPT_MAGIC = "ostta-ckpt-v1"
 _ACTIVATIONS = ("tanh", "linear")
@@ -95,8 +95,13 @@ class ForwardTrace:
     x: np.ndarray
     activations: list[np.ndarray]
     h: np.ndarray       # penultimate feature
-    z: np.ndarray       # unit-norm embedding
+    norm: float | np.ndarray  # ||h||, per row as a (..., 1) column
     logits: np.ndarray
+
+    @property
+    def z(self) -> np.ndarray:
+        """The unit-norm embedding, divided out on each read: training never pays for it."""
+        return self.h / self.norm
 
 
 def init_model(
@@ -121,53 +126,47 @@ def init_model(
     return params
 
 
-def _apply_act(pre: np.ndarray, act: str) -> np.ndarray:
-    if act == "tanh":
-        return np.tanh(pre)
-    if act == "linear":
-        return pre
-    raise ValueError(f"unknown activation {act!r}")
-
-
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     """Forward pass over the rows of an (n, input_dim) matrix. A 1-D x is
     the one-row case and gives a trace of 1-D arrays; stacked params give a
     trace with a leading slice axis, every slice fed the same rows. Raises
-    on a zero or non-finite embedding row."""
+    on a zero or non-finite embedding row, before the head product."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.input_dim:
         raise ValueError(f"input dim {x.shape[-1]} != model dim {params.input_dim}")
     acts = []
     a = x
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        # a stacked bias (A, out) broadcasts over its slice's rows
-        a = _apply_act(a @ w.swapaxes(-1, -2) + (b[:, None] if b.ndim == 2 else b), act)
+        a = a @ w.swapaxes(-1, -2)
+        a += b[:, None] if b.ndim == 2 else b  # a stacked bias (A, out) per slice's rows
+        if act == "tanh":
+            np.tanh(a, out=a)
         acts.append(a)
-    return ForwardTrace(x, acts, a, l2_normalize(a), a @ params.head.swapaxes(-1, -2))
+    norm = l2_norm(a)  # raises on a bad row before the head product can overflow
+    return ForwardTrace(x, acts, a, norm, a @ params.head.swapaxes(-1, -2))
 
 
-def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray) -> ModelParams:
+def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray,
+             out: ModelParams | None = None) -> ModelParams:
     """Gradients of the summed row losses w.r.t. all parameters, given
-    dL/dlogits with the shape of trace.logits, as a ModelParams over a fresh
-    buffer of the layout of params.buffer; per row for stacked params."""
+    dL/dlogits with the shape of trace.logits, per row for stacked params:
+    written into `out`, or else into a ModelParams over a fresh buffer."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != trace.logits.shape:
         raise ValueError("dlogits shape mismatch")
     inputs = [trace.x, *trace.activations]
     if dlogits.ndim == 1:
         dlogits, inputs = dlogits[None], [a[None] for a in inputs]
-    grads = ModelParams(np.empty_like(params.buffer), params.activations, params.shapes)
+    grads = out or ModelParams(np.empty_like(params.buffer), params.activations, params.shapes)
     np.matmul(dlogits.swapaxes(-1, -2), inputs[-1], out=grads.head)
     da = dlogits @ params.head
     for i in range(len(params.weights) - 1, -1, -1):
-        if params.activations[i] == "tanh":
-            dpre = da * (1.0 - inputs[i + 1] ** 2)
-        else:
-            dpre = da
-        np.matmul(dpre.swapaxes(-1, -2), inputs[i], out=grads.weights[i])
-        dpre.sum(axis=-2, out=grads.biases[i])
+        if params.activations[i] == "tanh":  # da, a fresh array, becomes d(pre-activation)
+            da *= 1.0 - inputs[i + 1] ** 2
+        np.matmul(da.swapaxes(-1, -2), inputs[i], out=grads.weights[i])
+        da.sum(axis=-2, out=grads.biases[i])
         if i:
-            da = dpre @ params.weights[i]
+            da = da @ params.weights[i]
     return grads
 
 

@@ -2,7 +2,6 @@
 source embedding bank extraction."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +77,7 @@ def train_many(
     features, labels = _stack(train_set, params)
     stacked = ModelParams.stack([params] * len(objectives))
     velocity = np.zeros_like(stacked.buffer)
+    grad = ModelParams(np.empty_like(stacked.buffer), stacked.activations, stacked.shapes)
     rng = np.random.default_rng(config.shuffle_seed)
     history: list[np.ndarray] = []
     for epoch in range(config.epochs):
@@ -99,8 +99,8 @@ def train_many(
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch} "
                                    f"for objective {objectives[bad]!r}")
             epoch_losses.append(values)
-            # gradient of the batch-mean loss
-            grad = backward(stacked, trace, dlogits / len(batch))
+            dlogits /= len(batch)  # the gradient of the batch-mean loss
+            backward(stacked, trace, dlogits, grad)
             velocity *= config.momentum
             velocity += grad.buffer
             stacked.buffer -= config.learning_rate * velocity
@@ -151,15 +151,16 @@ def extract_bank(params: ModelParams, train_set: list[Sample]) -> EmbeddingBank:
 
 
 def save_bank(bank: EmbeddingBank, path: str) -> None:
-    """Bank entries as CSV plus a `<path>.proto.csv` prototype sidecar."""
-    header = [f"z{i}" for i in range(bank.embeddings.shape[1])] + ["label"]
+    """Bank entries as CSV plus a `<path>.proto.csv` prototype sidecar: the
+    bytes of `csv.writer` with `repr` floats, one preformatted line per row
+    (no field needs quoting)."""
+    header = ",".join([f"z{i}" for i in range(bank.embeddings.shape[1])] + ["label"])
     for p, vectors, labels in ((path, bank.embeddings, bank.labels),
                                (path + ".proto.csv", bank.prototypes, range(len(bank.prototypes)))):
         with atomic_open(p, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for z, lab in zip(vectors, labels):
-                writer.writerow([repr(float(v)) for v in z] + [str(int(lab))])
+            fh.write(header + "\r\n")
+            for z, lab in zip(vectors.tolist(), labels):
+                fh.write(f"{','.join(map(repr, z))},{int(lab)}\r\n")
 
 
 def load_bank(path: str) -> EmbeddingBank:

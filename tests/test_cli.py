@@ -354,6 +354,28 @@ def test_cli_eval_names_the_file_and_line_of_a_malformed_record(tmp_path, capsys
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_cli_eval_names_an_empty_steps_file(tmp_path, capsys, text):
+    steps = tmp_path / "steps.ndjson"
+    steps.write_text(text)
+    code = main(["eval", "--steps", str(steps), "--num-known", "2",
+                 "--report-out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == f"{steps}: no step records"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("num_known", ["0", "-3"])
+def test_cli_eval_rejects_a_num_known_below_one(tmp_path, capsys, num_known):
+    steps = tmp_path / "steps.ndjson"
+    steps.write_text(json.dumps({"pred": 1, "true": 1}) + "\n")
+    code = main(["eval", "--steps", str(steps), "--num-known", num_known,
+                 "--report-out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == f"--num-known={num_known} must be >= 1"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_arm_choices_enforced(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["train", "--arm", "resnet", "--outdir", str(tmp_path)])
@@ -412,6 +434,22 @@ def test_cli_adapt_rejects_a_test_csv_of_the_wrong_width(tmp_path, capsys):
                  "--steps-out", str(steps), "--snapshot-out", str(snap)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"{test_csv}: 3 features per row, the checkpoint {ckpt} takes 2"
+    assert not steps.exists() and not snap.exists()
+
+
+def test_cli_adapt_rejects_a_header_only_test_csv(tmp_path, capsys):
+    ckpt, bank_path = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.csv")
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    save_checkpoint(params, ckpt)
+    train_set, _ = generate_blobs(BlobSpec(samples_per_cluster=5))
+    save_bank(extract_bank(params, train_set), bank_path)
+    test_csv = tmp_path / "empty.csv"
+    test_csv.write_text("x0,x1,label\n")
+    steps, snap = tmp_path / "steps.ndjson", tmp_path / "snap.json"
+    assert main(["adapt", "--checkpoint", ckpt, "--bank", bank_path, "--test-csv", str(test_csv),
+                 "--steps-out", str(steps), "--snapshot-out", str(snap)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"--test-csv {test_csv}: no rows after the header, nothing to adapt over"
     assert not steps.exists() and not snap.exists()
 
 

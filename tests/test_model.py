@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ostta.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from ostta.numeric import l2_normalize
 
 
 def _flat_params(params):
@@ -101,6 +103,50 @@ def test_backward_full_finite_difference(loss_name):
         an = _flat_grads(grads)
         denom = max(np.linalg.norm(an), np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(an - fd) / denom <= 1e-4
+
+
+def _identity_encoder(head_value: float) -> ModelParams:
+    """A one-feature model whose embedding h is its input and whose head
+    entries are all head_value."""
+    params = init_model(1, 1, 2, 0, hidden=())
+    params.weights[0][...] = 1.0
+    params.head[...] = head_value
+    return params
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan, 1e200])
+def test_forward_rejects_a_bad_h_row_before_the_head_product(bad):
+    # a head of 1e200 overflows the product with an h row of 1e200: only a
+    # check of h that runs first keeps it from warning
+    params = _identity_encoder(1e200)
+    x = np.array([[0.5], [bad], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (params, ModelParams.stack([params, params])):
+            with pytest.raises(ValueError, match="cannot normalize a zero or non-finite vector"):
+                forward(model, x)
+        forward(params, x[[0, 2]])  # the healthy rows alone pass
+
+
+def test_trace_z_is_h_normalized_on_read():
+    params = init_model(2, 8, 3, 0)
+    x = np.random.default_rng(1).normal(size=(5, 2))
+    for rows in (x, x[0], x[:, None, :]):  # a matrix, one row, a stack of one-row matrices
+        trace = forward(params, rows)
+        assert trace.h is trace.activations[-1]
+        assert trace.z.tobytes() == l2_normalize(trace.h).tobytes()
+        assert trace.z is not trace.z  # not kept on the trace
+
+
+def test_backward_into_a_reused_buffer_equals_a_fresh_one():
+    stacked = ModelParams.stack([init_model(2, 4, 3, seed, hidden=(6, 5)) for seed in range(3)])
+    rng = np.random.default_rng(2)
+    out = ModelParams(np.full_like(stacked.buffer, np.nan), stacked.activations, stacked.shapes)
+    for _ in range(2):  # the second call overwrites the first one's gradients
+        trace = forward(stacked, rng.normal(size=(7, 2)))
+        dlogits = rng.normal(size=trace.logits.shape)
+        assert backward(stacked, trace, dlogits, out) is out
+        assert out.buffer.tobytes() == backward(stacked, trace, dlogits).buffer.tobytes()
 
 
 def test_stack_and_unstack_copy_deeply():

@@ -1,5 +1,13 @@
+import csv
+import hashlib
+import io
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ostta.data import BlobSpec, Sample, generate_blobs
 from ostta.losses import OBJECTIVES, LossConfig
@@ -144,6 +152,48 @@ def test_disabled_loss_term_cannot_make_the_loss_non_finite():
         assert got.param_bytes() == want.param_bytes() and history == want_history
 
 
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan, 1e200])
+def test_train_many_diverges_on_a_bad_h_row_without_warning(bad):
+    # one input feature, no hidden layer, zero bias: the bad feature makes a
+    # bad h row, which forward rejects before any product can warn
+    params = init_model(1, 1, 2, 0, hidden=())
+    train_set = [Sample(np.array([v]), i % 2) for i, v in enumerate([0.5, -1.0, bad, 2.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="diverged at epoch 0 for objective 'ce'"):
+            train_many(params, train_set, TrainConfig(epochs=2, batch_size=2), ["ce", "ugd"])
+
+
+# sha256 of each objective's trained parameter bytes and the hex of its
+# per-epoch mean losses, recorded before the training loop was reworked for
+# speed; any change to the arithmetic of forward, loss, backward or the update
+# changes them. They hold for one numpy and BLAS build: on another, compare
+# against the same run of a known-good commit first.
+_PINNED = {
+    "ce": ("d0c38dda7e5c9c3e291b53a9d5f4b12e49ec44d93ff79118f8bdd444875cc79c",
+           ["0x1.5e44fb21223e3p+0", "0x1.29a2925e85d9ep+0", "0x1.b45b331b959e5p-1",
+            "0x1.0d06981897e0fp-1"]),
+    "ugd_no_ua": ("0423a0f0801a346a31900109545ff90a8ace098e41a166f4f5a5c02ea9f0174f",
+                  ["0x1.665aa9086f314p+0", "0x1.59d0a6a3ca399p+0", "0x1.4977bc969c229p+0",
+                   "0x1.3526d73a79e1ap+0"]),
+    "ugd_no_sce": ("6e170918d63ec698f2aaea0139e1cb89c2a2e500c990b4fbb3f27c7a5e840b0c",
+                   ["0x1.1b248195a47f1p+0", "0x1.03ba22bc6b972p+0", "0x1.b92314c7f399ep-1",
+                    "0x1.3b3f202ef5411p-1"]),
+    "ugd": ("1de314f9e33a8b02cd448cc03277c1756b562f541fd42fbc9cfe57369b39ce21",
+            ["0x1.3fd2557da0acep+1", "0x1.2b0d6020ccf63p+1", "0x1.0ef593c7231d6p+1",
+             "0x1.d419298df7777p+0"]),
+}
+
+
+def test_train_many_bits_are_pinned():
+    train_set, _ = generate_blobs(BlobSpec(seed=5, samples_per_cluster=20))
+    params = init_model(2, 8, 3, 1, hidden=(16, 16))
+    trained = train_many(params, train_set, TrainConfig(epochs=4, batch_size=8), list(OBJECTIVES))
+    got = {name: (hashlib.sha256(p.param_bytes()).hexdigest(), [h.hex() for h in history])
+           for name, (p, history) in zip(OBJECTIVES, trained)}
+    assert got == _PINNED
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0).validate()
@@ -267,6 +317,34 @@ def test_save_bank_failing_mid_write_keeps_the_old_files(tmp_path):
         assert (tmp_path / name).read_bytes() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)  # no .tmp left
     assert np.array_equal(load_bank(str(path)).embeddings, bank.embeddings)
+
+
+def _csv_writer_bytes(vectors, labels) -> bytes:
+    """A bank file as csv.writer writes it, with repr floats."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow([f"z{i}" for i in range(vectors.shape[1])] + ["label"])
+    for z, lab in zip(vectors, labels):
+        writer.writerow([repr(float(v)) for v in z] + [str(int(lab))])
+    return out.getvalue().encode()
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308,
+                                -1e308, 1.7976931348623157e308, 0.1, 1e16, 123456789.125])
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+              elements=st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS),
+       st.integers(1, 4))
+def test_save_bank_bytes_equal_csv_writer(tmp_path_factory, embeddings, num_known):
+    labels = np.arange(len(embeddings)) % num_known
+    prototypes = embeddings[:num_known]
+    path = tmp_path_factory.mktemp("bank") / "bank.csv"
+    save_bank(EmbeddingBank(embeddings, labels, prototypes), str(path))
+    assert path.read_bytes() == _csv_writer_bytes(embeddings, labels)
+    sidecar = path.with_name("bank.csv.proto.csv").read_bytes()
+    assert sidecar == _csv_writer_bytes(prototypes, range(len(prototypes)))
 
 
 def test_load_bank_rejects_a_sidecar_of_the_wrong_width(tmp_path):
