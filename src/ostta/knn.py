@@ -5,6 +5,7 @@ as a full stable sort orders them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +38,23 @@ def build_index(bank: EmbeddingBank, k: int = 10) -> KnnIndex:
 
 def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     """Positions of each row's k best entries, best first, ties in ascending
-    position, as a stable argsort on -sims orders them. Only the entries at
-    or above the row's k-th value, found by a partition, are sorted."""
-    pos = np.empty((len(sims), k), dtype=np.intp)
-    kth = sims.shape[1] - k
-    for i, row in enumerate(sims):
-        cand = (row >= np.partition(row, kth)[kth]).nonzero()[0]
-        pos[i] = cand[(-row[cand]).argsort(kind="stable")[:k]]
-    return pos
+    position, as a stable argsort on -sims orders them. Only entries at or
+    above a bound on the row's k-th value are sorted: a lone row's k-th value,
+    or in a block the k-th largest of m strided chunk maxima (k distinct entries)."""
+    n, width = sims.shape
+    if n == 1:  # the per-sample path: 7 numpy calls where the block needs 15
+        row = sims[0]
+        cand = (row >= np.partition(row, width - k)[width - k]).nonzero()[0]
+        return cand[(-row[cand]).argsort(kind="stable")[:k]][None]
+    m = max(k, math.isqrt(width * k))
+    s = width // m
+    maxima = sims[:, :m * s].reshape(n, s, m).max(axis=1)
+    bound = np.partition(maxima, m - k, axis=1)[:, m - k]
+    flat = np.flatnonzero(sims >= bound[:, None])  # row order, then position order
+    rows, pos = np.divmod(flat, width)
+    order = np.lexsort((-sims.ravel()[flat], rows))  # stable: ties keep position order
+    first = np.searchsorted(rows, np.arange(n))  # rows stays sorted under the lexsort
+    return pos[order[first[:, None] + np.arange(k)]]
 
 
 def query(index: KnnIndex, z: np.ndarray) -> Neighborhood:

@@ -127,13 +127,16 @@ def init_model(
 
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Forward pass over the rows of an (n, input_dim) matrix. A 1-D x is
-    the one-row case and gives a trace of 1-D arrays; stacked params give a
-    trace with a leading slice axis, every slice fed the same rows. Raises
-    on a zero or non-finite embedding row, before the head product."""
+    """Forward pass over the rows of an (n, input_dim) matrix; for unstacked
+    params a 1-D x is the one-row case and gives a trace of 1-D arrays. Stacked
+    params give a trace with a leading slice axis, every slice fed the same
+    rows. Raises on a zero or non-finite embedding row, before the head product."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.input_dim:
         raise ValueError(f"input dim {x.shape[-1]} != model dim {params.input_dim}")
+    if x.ndim == 1 and params.buffer.ndim == 2:
+        raise ValueError(f"stacked params of buffer shape {params.buffer.shape} need an "
+                         f"(n, {params.input_dim}) x, not shape {x.shape}")
     acts = []
     a = x
     for w, b, act in zip(params.weights, params.biases, params.activations):

@@ -15,7 +15,7 @@ def l2_norm(v: np.ndarray) -> float | np.ndarray:
     zero or non-finite vector. Every norm is a BLAS dot product, so each row
     gets exactly the bits of its own 1-D call, whatever rows surround it."""
     if v.ndim == 1:
-        norm = math.sqrt(v @ v)  # the bits of np.linalg.norm, at half its cost
+        norm = math.sqrt(np.vdot(v, v))  # np.linalg.norm's bits; overflow is a quiet inf
         ok = 0.0 < norm < math.inf
     else:
         with np.errstate(over="ignore"):  # an overflowed square is rejected below

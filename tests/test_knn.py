@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,13 +106,32 @@ def _stable_top_k(sims, k):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 80),
-       levels=st.integers(1, 6), data=st.data())
-def test_top_k_equals_full_stable_argsort(seed, n, m, levels, data):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       width=st.one_of(st.integers(1, 80), st.integers(81, 7000)), levels=st.integers(1, 6),
+       layout=st.sampled_from(["random", "sorted", "strided"]), data=st.data())
+def test_top_k_equals_full_stable_argsort(seed, n, width, levels, layout, data):
     # few distinct values, so tie groups straddle the k-th place
-    sims = np.random.default_rng(seed).integers(levels, size=(n, m)) / levels - 0.5
-    k = data.draw(st.integers(1, m))
+    sims = np.random.default_rng(seed).integers(levels, size=(n, width)) / levels - 0.5
+    k = data.draw(st.one_of(st.sampled_from([1, width]), st.integers(1, width)))
+    if layout != "random":  # every row sorted by value, best first
+        sims = -np.sort(-sims, axis=1)
+    if layout == "strided":  # the best values on one stride, as when one chunk holds every winner
+        stride = data.draw(st.one_of(st.just(max(k, math.isqrt(width * k))), st.integers(1, width)))
+        sims[:, np.argsort(np.arange(width) % stride, kind="stable")] = sims.copy()
     assert np.array_equal(_top_k(sims, k), _stable_top_k(sims, k))
+
+
+def test_block_query_equals_one_row_queries_on_a_large_bank():
+    rng = np.random.default_rng(11)
+    labels = np.repeat(np.arange(3), 2000)  # a class-sorted bank, as extract_bank builds it
+    bank = _bank_from(rng.normal(size=(6000, 8)) + 3.0 * np.eye(8)[labels], labels)
+    index = build_index(bank, k=10)
+    z = l2_normalize(rng.normal(size=(21, 8)))
+    block = query(index, z)
+    for row, ids, centroid in zip(z, block.indices, block.centroid):
+        one = query(index, row)
+        assert np.array_equal(one.indices, ids)
+        assert one.centroid.tobytes() == centroid.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -128,6 +128,21 @@ def test_forward_rejects_a_bad_h_row_before_the_head_product(bad):
         forward(params, x[[0, 2]])  # the healthy rows alone pass
 
 
+def test_forward_rejects_an_overflowing_one_row_h_without_a_warning():
+    params = init_model(2, 2, 3, 0, hidden=())  # h is a linear map of x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cannot normalize a zero or non-finite vector"):
+            forward(params, np.array([1e200, 1.0]))
+
+
+def test_forward_rejects_one_row_x_for_stacked_params():
+    stacked = ModelParams.stack([init_model(2, 4, 3, seed) for seed in range(3)])
+    with pytest.raises(ValueError, match=r"\(3, \d+\).*\(n, 2\).*\(2,\)"):
+        forward(stacked, np.array([0.5, -1.0]))
+    assert forward(stacked, np.array([[0.5, -1.0]])).logits.shape == (3, 1, 4)
+
+
 def test_trace_z_is_h_normalized_on_read():
     params = init_model(2, 8, 3, 0)
     x = np.random.default_rng(1).normal(size=(5, 2))
