@@ -6,7 +6,7 @@ Artifacts land in the output directory as:
   grid_<arm>.csv             decision-boundary lattice per arm
   steps_<arm>_<seed>.ndjson  per-step diagnostics
   model_<hash>.ckpt          cached checkpoint, keyed by config hash
-  bank_<hash>.csv            cached source embedding bank
+  bank_<hash>.csv            cached source embedding bank, one file
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .data import (
     load_csv,
     make_stream,
     save_csv,
+    text_lines,
 )
 from .losses import OBJECTIVES, LossConfig
 from .metrics import decision_grid, evaluate, save_grid
@@ -96,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("need at least one stream seed")
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution={self.grid_resolution} must be >= 2")
+        if self.shift.translation and len(self.shift.translation) != self.blob.dim:
+            raise ValueError(f"config.shift.translation needs config.blob.dim={self.blob.dim} values")
         bank_size = self.blob.num_known * self.blob.samples_per_cluster
         if self.tur.k > bank_size:
             raise ValueError(f"tur.k={self.tur.k} exceeds the source bank's {bank_size} rows")
@@ -108,18 +111,16 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    try:
+        payload = json.loads("".join(text_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON config: {exc}") from None
+    return config_from_dict(payload)
 
 
 def _checkpoint_hash(cfg: ExperimentConfig, objective: str) -> str:
-    payload = {
-        "blob": dataclasses.asdict(cfg.blob),
-        "model": dataclasses.asdict(cfg.model),
-        "train": dataclasses.asdict(cfg.train),
-        "objective": objective,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
+    payload = {name: dataclasses.asdict(getattr(cfg, name)) for name in ("blob", "model", "train")}
+    blob = json.dumps({**payload, "objective": objective}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -142,16 +143,16 @@ def _model_grid(params: ModelParams, bbox, resolution: int):
 
 
 def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
-    """(params, bank) per arm. Every distinct objective whose checkpoint,
-    bank or prototype sidecar is missing from outdir is trained in one
-    lockstep `train_many` call and then cached; the others load from the
-    cache. Nothing is written unless every missing objective trains."""
+    """(params, bank) per arm. Every distinct objective whose checkpoint or
+    bank is missing from outdir is trained in one lockstep `train_many` call
+    and then cached; the others load from the cache. Nothing is written
+    unless every missing objective trains."""
     objectives = {arm: "ugd" if arm == "art" else arm for arm in arms}
     keys = {arm: _checkpoint_hash(cfg, objective) for arm, objective in objectives.items()}
     ckpts = {key: os.path.join(outdir, f"model_{key}.ckpt") for key in keys.values()}
     banks = {key: os.path.join(outdir, f"bank_{key}.csv") for key in keys.values()}
     missing = {key: objectives[arm] for arm, key in keys.items()
-               if not all(map(os.path.exists, (ckpts[key], banks[key], banks[key] + ".proto.csv")))}
+               if not (os.path.exists(ckpts[key]) and os.path.exists(banks[key]))}
     models = {}
     if missing:
         params = init_model(
@@ -171,10 +172,8 @@ def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
 
 def _grid_bbox(samples: list[Sample], margin: float):
     pts = np.stack([s.features[:2] for s in samples])
-    return (
-        (float(pts[:, 0].min() - margin), float(pts[:, 0].max() + margin)),
-        (float(pts[:, 1].min() - margin), float(pts[:, 1].max() + margin)),
-    )
+    (x0, y0), (x1, y1) = pts.min(axis=0) - margin, pts.max(axis=0) + margin
+    return (float(x0), float(x1)), (float(y0), float(y1))
 
 
 def _write_steps(path: str, truths: list[int], preds: list) -> None:
@@ -204,7 +203,6 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
 
     train_set, test_set = generate_blobs(cfg.blob)
     shifted_test = apply_shift(test_set, cfg.shift)
-    num_known = cfg.blob.num_known
     reports: dict[tuple[str, int], object] = {}
 
     models = _train_cached(cfg, cfg.arms, train_set, outdir)
@@ -218,19 +216,18 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
                 state = init_tur(bank, params, cfg.tur)
                 predictions = run_stream(state, stream)
                 preds = [p.label for p in predictions]
-                if grid_state is None:
-                    grid_state = state
+                grid_state = grid_state or state  # the state after the first stream
             else:
                 preds = predictions = _argmax_labels(
                     params, np.stack([s.features for s in stream])).tolist()
-            report = evaluate(preds, truths, num_known)
+            report = evaluate(preds, truths, cfg.blob.num_known)
             report.to_json(os.path.join(outdir, f"report_{arm}_{seed}.json"))
             _write_steps(os.path.join(outdir, f"steps_{arm}_{seed}.ndjson"), truths, predictions)
             reports[(arm, seed)] = report
 
         if cfg.blob.dim == 2:
             bbox = _grid_bbox(train_set + shifted_test, cfg.grid_margin)
-            if arm == "art" and grid_state is not None:
+            if arm == "art":
                 grid = decision_grid(lambda pts: predict_frozen(grid_state, pts.reshape(-1, 2)),
                                      bbox, cfg.grid_resolution, block_rows(len(bank)))
             else:
@@ -247,9 +244,8 @@ def _cmd_gen_data(args) -> int:
     train_set, test_set = generate_blobs(cfg.blob)
     shifted = apply_shift(test_set, cfg.shift)
     os.makedirs(args.outdir, exist_ok=True)
-    save_csv(train_set, os.path.join(args.outdir, "train.csv"))
-    save_csv(test_set, os.path.join(args.outdir, "test.csv"))
-    save_csv(shifted, os.path.join(args.outdir, "test_shifted.csv"))
+    for name, samples in (("train", train_set), ("test", test_set), ("test_shifted", shifted)):
+        save_csv(samples, os.path.join(args.outdir, f"{name}.csv"))
     print(f"wrote train/test/test_shifted CSVs to {args.outdir}")
     return 0
 
@@ -293,17 +289,16 @@ def _cmd_adapt(args) -> int:
 def _read_steps(path: str) -> tuple[list, list]:
     """The predicted and true labels of a steps file, in stream order."""
     preds, truths = [], []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                preds.append(record["pred"])
-                truths.append(record["true"])
-            except (ValueError, KeyError, TypeError):
-                raise ValueError(f"{path}, line {line_no}: not a JSON object "
-                                 "with pred and true") from None
+    for line_no, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            preds.append(record["pred"])
+            truths.append(record["true"])
+        except (ValueError, KeyError, TypeError):
+            raise ValueError(f"{path}, line {line_no}: not a JSON object "
+                             "with pred and true") from None
     if not preds:
         raise ValueError(f"{path}: no step records")
     return preds, truths
@@ -408,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileExistsError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

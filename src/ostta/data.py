@@ -107,12 +107,9 @@ def apply_shift(dataset: list[Sample], shift: ShiftSpec) -> list[Sample]:
     if not dataset:
         raise ValueError("dataset is empty")
     dim = dataset[0].features.shape[0]
-    translation = np.zeros(dim)
-    if shift.translation:
-        t = np.asarray(shift.translation, dtype=np.float64)
-        if t.shape[0] != dim:
-            raise ValueError(f"translation dim {t.shape[0]} != feature dim {dim}")
-        translation = t
+    translation = np.asarray(shift.translation or np.zeros(dim), dtype=np.float64)
+    if translation.shape != (dim,):
+        raise ValueError(f"translation dim {translation.shape[0]} != feature dim {dim}")
     c, s = np.cos(shift.rotation_angle), np.sin(shift.rotation_angle)
     rot = np.eye(dim)
     rot[0, 0], rot[0, 1], rot[1, 0], rot[1, 1] = c, -s, s, c
@@ -145,9 +142,11 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the path given
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -189,42 +188,58 @@ def _typed(value, hint, path: str):
 
 
 def save_csv(dataset: list[Sample], path: str) -> None:
-    dim = dataset[0].features.shape[0]
+    write_labelled_csv(path, "f", np.array([s.features for s in dataset], dtype=np.float64),
+                       [s.label for s in dataset])
+
+
+def write_labelled_csv(path: str, prefix: str, rows: np.ndarray, labels) -> None:
+    """A header `<prefix>0,...,label`, then per row its `repr` floats and its
+    label (`unknown` for UNKNOWN), CRLF-ended: the bytes of `csv.writer`, one
+    preformatted line per row (no field needs quoting)."""
+    header = ",".join([f"{prefix}{i}" for i in range(rows.shape[1])] + ["label"])
     with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dim)] + ["label"])
-        for s in dataset:
-            label = UNKNOWN_TOKEN if s.label == UNKNOWN else str(s.label)
-            writer.writerow([repr(float(v)) for v in s.features] + [label])
+        fh.write(header + "\r\n")
+        for z, lab in zip(rows.tolist(), np.asarray(labels).tolist()):
+            token = UNKNOWN_TOKEN if lab == UNKNOWN else int(lab)
+            fh.write(f"{','.join(map(repr, z))},{token}\r\n")
 
 
-def read_labelled_csv(path: str, parse_label) -> tuple[list[list[float]], list]:
-    """Feature rows and parsed labels of a CSV with a header row and the label
-    in its last column. Raises, naming the file and the row (the header is
-    row 1), on a wrong column count, a value that does not parse, or a
-    non-finite feature."""
-    features, labels = [], []
+def text_lines(path: str):
+    """The lines of a text file, line ends kept; bytes that do not decode
+    raise a ValueError naming the file."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if len(header) < 2:
-            raise ValueError(f"{path}: the header needs feature columns and a label column")
-        for row in reader:
-            where = f"{path}, row {reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(f"{where}: {len(row)} columns, the header has {len(header)}")
-            try:
-                values, label = list(map(float, row[:-1])), parse_label(row[-1])
-            except ValueError:
-                raise ValueError(f"{where}: cannot parse {row}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{where}: non-finite feature in {row}")
-            features.append(values)
-            labels.append(label)
-    return features, labels
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a text file ({exc.reason})") from None
+
+
+def read_labelled_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) features and (n,) int labels, `unknown` read as UNKNOWN, of
+    a CSV with a header row and the label in its last column. Raises, naming
+    the file and the row (the header is row 1), on a wrong column count, a
+    value that does not parse, or a non-finite feature."""
+    features, labels = [], []
+    reader = csv.reader(text_lines(path))
+    header = next(reader, [])
+    if len(header) < 2:
+        raise ValueError(f"{path}: the header needs feature columns and a label column")
+    for row in reader:
+        where = f"{path}, row {reader.line_num}"
+        if len(row) != len(header):
+            raise ValueError(f"{where}: {len(row)} columns, the header has {len(header)}")
+        try:
+            values = list(map(float, row[:-1]))
+            label = UNKNOWN if row[-1] == UNKNOWN_TOKEN else int(row[-1])
+        except ValueError:
+            raise ValueError(f"{where}: cannot parse {row}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{where}: non-finite feature in {row}")
+        features.append(values)
+        labels.append(label)
+    return np.array(features), np.array(labels, dtype=np.int64)
 
 
 def load_csv(path: str) -> list[Sample]:
-    features, labels = read_labelled_csv(
-        path, lambda token: UNKNOWN if token == UNKNOWN_TOKEN else int(token))
-    return [Sample(np.array(f), label) for f, label in zip(features, labels)]
+    features, labels = read_labelled_csv(path)
+    return [Sample(f, label) for f, label in zip(features, labels.tolist())]

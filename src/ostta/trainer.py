@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Sample, atomic_open, read_labelled_csv
+from .data import Sample, read_labelled_csv, write_labelled_csv
 from .losses import LossConfig, LossWeights, check_labels, loss
 from .model import ModelParams, backward, forward
 from .numeric import l2_normalize
@@ -40,6 +40,18 @@ class EmbeddingBank:
     embeddings: np.ndarray  # (n, embed_dim), unit rows
     labels: np.ndarray      # (n,), known indices
     prototypes: np.ndarray  # (num_known, embed_dim), unit rows
+
+    @classmethod
+    def from_rows(cls, embeddings: np.ndarray, labels: np.ndarray, num_known: int) -> EmbeddingBank:
+        """The bank of these rows, prototype k the unit mean of the rows labelled k;
+        raises unless every class 0..num_known-1 has rows and a nonzero mean."""
+        check_labels(labels, num_known)
+        present = np.unique(labels)  # sorted, and no larger than the bank
+        if len(present) < num_known:  # the first gap in 0, 1, ... is a missing class
+            k = np.flatnonzero(np.append(present, num_known) != np.arange(len(present) + 1))[0]
+            raise ValueError(f"no rows of class {k}: no prototype")
+        means = np.stack([embeddings[labels == k].mean(axis=0) for k in range(num_known)])
+        return cls(embeddings, labels, l2_normalize(means))
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -138,42 +150,21 @@ def extract_bank(params: ModelParams, train_set: list[Sample]) -> EmbeddingBank:
         forward(params, features[i : i + _BANK_BLOCK]).z
         for i in range(0, len(features), _BANK_BLOCK)
     ])
-    prototypes = []
-    for k in range(params.num_known):
-        members = embeddings[labels == k]
-        if members.shape[0] == 0:
-            raise ValueError(f"class {k} absent from train set: no prototype")
-        mean = members.mean(axis=0)
-        if np.linalg.norm(mean) == 0.0:
-            raise ValueError(f"class {k} embeddings average to zero: prototype undefined")
-        prototypes.append(l2_normalize(mean))
-    return EmbeddingBank(embeddings, labels, np.stack(prototypes))
+    return EmbeddingBank.from_rows(embeddings, labels, params.num_known)
 
 
 def save_bank(bank: EmbeddingBank, path: str) -> None:
-    """Bank entries as CSV plus a `<path>.proto.csv` prototype sidecar: the
-    bytes of `csv.writer` with `repr` floats, one preformatted line per row
-    (no field needs quoting)."""
-    header = ",".join([f"z{i}" for i in range(bank.embeddings.shape[1])] + ["label"])
-    for p, vectors, labels in ((path, bank.embeddings, bank.labels),
-                               (path + ".proto.csv", bank.prototypes, range(len(bank.prototypes)))):
-        with atomic_open(p, newline="") as fh:
-            fh.write(header + "\r\n")
-            for z, lab in zip(vectors.tolist(), labels):
-                fh.write(f"{','.join(map(repr, z))},{int(lab)}\r\n")
+    """The bank's rows and labels as one CSV; the prototypes are not stored,
+    `load_bank` computes them from the rows."""
+    write_labelled_csv(path, "z", bank.embeddings, bank.labels)
 
 
 def load_bank(path: str) -> EmbeddingBank:
-    def read(p: str) -> tuple[np.ndarray, np.ndarray]:
-        rows, labs = read_labelled_csv(p, int)
-        return np.array(rows), np.array(labs, dtype=np.int64)
-
-    sidecar = path + ".proto.csv"
-    embeddings, labels = read(path)
-    prototypes, proto_labels = read(sidecar)
-    if not np.array_equal(proto_labels, np.arange(len(proto_labels))):
-        raise ValueError(f"{sidecar}: prototype labels must be 0..num_known-1 in order")
-    if prototypes.shape[1:] != embeddings.shape[1:]:
-        raise ValueError(f"{sidecar}: prototypes of shape {prototypes.shape} do not fit "
-                         f"the bank's rows of shape {embeddings.shape}")
-    return EmbeddingBank(embeddings, labels, prototypes)
+    """The bank of a `save_bank` file, its prototypes the class means of its
+    rows as `extract_bank` computes them. Raises, naming the file, unless the
+    labels are 0..K-1 with every class present."""
+    embeddings, labels = read_labelled_csv(path)
+    try:
+        return EmbeddingBank.from_rows(embeddings, labels, int(labels.max(initial=0)) + 1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -78,8 +78,6 @@ def init_tur(bank: EmbeddingBank, params: ModelParams, config: TurConfig) -> Tur
     """Fresh state: target prototypes copied from the source prototypes,
     follow-up prototypes the renormalized head rows."""
     config.validate()
-    if bank.embeddings.shape[1] != params.embed_dim:
-        raise ValueError("bank and head embedding dims disagree")
     if bank.prototypes.shape != (params.num_known, params.embed_dim):
         raise ValueError(f"bank prototypes of shape {bank.prototypes.shape} do not fit the "
                          f"model's {params.num_known} known classes of width {params.embed_dim}")

@@ -1,13 +1,21 @@
 """Acceptance suite.
 
 Each test prints an `ACCEPTANCE <id>: PASS/FAIL` line so the criteria can be
-audited from the test log directly. Criteria 3, 6, and 8 share one reference
-experiment run (module-scoped fixture) so the expensive trainings happen once.
+audited from the test log directly. Criteria 3 and 6 and the artifact check
+share one reference experiment run (module-scoped fixture) so the expensive
+trainings happen once.
+
+`python tests/test_acceptance.py` reruns the reference experiment and rewrites
+the artifact fixture, for a change that moves answers on purpose.
 """
 import csv
 import dataclasses
+import hashlib
 import json
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,15 +38,18 @@ def _report(cid: str, ok: bool, detail: str) -> None:
 
 # ------------------------------------------------------------------ shared run
 
+REFERENCE = dataclasses.replace(ExperimentConfig(), stream_seeds=(0, 1, 2, 3))
+ARTIFACTS = Path(__file__).with_name("reference_artifacts.json")
+
+
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
     """Default experiment, all arms, 4 stream permutations."""
     outdir = tmp_path_factory.mktemp("reference")
-    cfg = dataclasses.replace(ExperimentConfig(), stream_seeds=(0, 1, 2, 3))
     t0 = time.time()
-    reports = run_experiment(cfg, str(outdir))
+    reports = run_experiment(REFERENCE, str(outdir))
     elapsed = time.time() - t0
-    return cfg, outdir, reports, elapsed
+    return REFERENCE, outdir, reports, elapsed
 
 
 def _grid_labels(path):
@@ -244,6 +255,47 @@ def test_criterion_7_h_score_spot_check():
     _report("7", abs(value - 0.785) <= 0.001, f"h_score(0.821, 0.752) = {value:.4f}")
 
 
+# ------------------------------------------------------------------ artifacts
+
+def _environment() -> dict:
+    """What the artifact bytes depend on besides the code: the Python minor
+    version, numpy, its BLAS, and the CPU features by which numpy and a
+    dynamic-arch BLAS pick their kernels."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = "unknown"
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"python": "%d.%d" % sys.version_info[:2], "numpy": np.__version__, "blas": blas,
+            "cpu": " ".join(sorted(name for name, on in __cpu_features__.items() if on))}
+
+
+def _digests(outdir: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outdir.iterdir())}
+
+
+def test_reference_artifacts_match_the_fixture(reference_run):
+    """The reference run writes the fixture's artifacts by name always (the
+    names come from config hashes), and byte for byte by sha256 in the
+    fixture's environment. A change of answers on purpose rewrites the
+    fixture in the same commit and names the changed files."""
+    _, outdir, _, _ = reference_run
+    fixture = json.loads(ARTIFACTS.read_text())
+    got = _digests(outdir)
+    assert sorted(got) == sorted(fixture["artifacts"]), "artifact names differ from the fixture"
+    if _environment() != fixture["environment"]:
+        print(f"ARTIFACTS: {len(got)} names match; contents not compared outside "
+              f"{fixture['environment']}")
+        return
+    moved = sorted(name for name, digest in got.items() if fixture["artifacts"][name] != digest)
+    print(f"ARTIFACTS: {len(got)} names match, bytes differ in {moved or 'none'}")
+    assert not moved, f"artifact bytes differ from the fixture: {moved}"
+
+
 # ------------------------------------------------------------------ criterion 8
 
 def test_criterion_8_run_determinism(tmp_path):
@@ -266,3 +318,11 @@ def test_criterion_8_run_determinism(tmp_path):
         len(names) > 0 and not diffs,
         f"{len(names)} JSON reports compared, byte-diffs: {diffs or 'none'}",
     )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        run_experiment(REFERENCE, tmp)
+        fixture = {"environment": _environment(), "artifacts": _digests(Path(tmp))}
+    ARTIFACTS.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(fixture['artifacts'])} artifact digests to {ARTIFACTS}")

@@ -191,8 +191,7 @@ def test_run_experiment_retrains_when_bank_missing(tmp_path):
     cfg = _small_config(arms=("ugd",))
     outdir = tmp_path / "out"
     run_experiment(cfg, str(outdir))
-    bank = next(n for n in os.listdir(outdir)
-                if n.startswith("bank_") and n.endswith(".csv") and not n.endswith(".proto.csv"))
+    bank = next(n for n in os.listdir(outdir) if n.startswith("bank_"))
     before = (outdir / bank).read_bytes()
     os.remove(outdir / bank)
     run_experiment(cfg, str(outdir), force=True)
@@ -211,9 +210,8 @@ def test_cli_end_to_end_pipeline(tmp_path):
     assert main(["train", "--config", str(config_path), "--arm", "ugd",
                  "--outdir", str(work)]) == 0
     ckpt = next(str(work / n) for n in os.listdir(work) if n.endswith(".ckpt"))
-    bank = next(str(work / n) for n in os.listdir(work)
-                if n.startswith("bank_") and n.endswith(".csv")
-                and not n.endswith(".proto.csv"))
+    assert not [n for n in os.listdir(work) if n.endswith(".proto.csv")]  # a bank is one file
+    bank = next(str(work / n) for n in os.listdir(work) if n.startswith("bank_"))
 
     steps = str(tmp_path / "steps.ndjson")
     snap = str(tmp_path / "snap.json")
@@ -291,6 +289,25 @@ def test_cli_rejects_config_leaf_of_the_wrong_type(tmp_path, capsys, payload, me
     assert not outdir.exists()  # failed at load time, before any training
 
 
+def test_cli_rejects_a_translation_of_another_width_before_any_output(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"shift": {"translation": [1.0, 2.0, 3.0]}}))
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "config.shift.translation needs config.blob.dim=2 values"
+    assert not outdir.exists()
+
+
+def test_cli_names_a_config_that_is_cut(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"train": {"epochs": 5}})[:18])
+    assert main(["run", "--config", str(config_path), "--outdir", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(
+        f"{config_path}: not a JSON config: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_leaf_float_accepts_int():
     cfg = config_from_dict({"train": {"learning_rate": 1}, "blob": {"center_box": [-8, 8]}})
     assert cfg.train.learning_rate == 1 and cfg.blob.center_box == (-8, 8)
@@ -313,7 +330,7 @@ def test_run_experiment_trains_missing_configs_in_one_call(tmp_path, monkeypatch
     assert calls == [["ce", "ugd_no_ua", "ugd_no_sce", "ugd"]]
     assert len([n for n in os.listdir(outdir) if n.endswith(".ckpt")]) == 4
     ce = _checkpoint_hash(_small_config(), "ce")
-    os.remove(outdir / f"bank_{ce}.csv.proto.csv")
+    os.remove(outdir / f"bank_{ce}.csv")
     again = run_experiment(_small_config(arms=ARMS), str(outdir), force=True)
     assert calls[1:] == [["ce"]]
     assert {k: r.to_dict() for k, r in again.items()} == {k: r.to_dict() for k, r in reports.items()}
@@ -533,3 +550,68 @@ def test_artifact_write_that_raises_leaves_no_file(tmp_path, monkeypatch, kind):
     with pytest.raises(OSError, match="No space left"):
         ARTIFACT_WRITERS[kind](str(tmp_path / f"{kind}.out"))
     assert os.listdir(tmp_path) == []  # neither the artifact nor its .tmp
+
+
+def _adapt_inputs(tmp_path):
+    """A checkpoint, its bank, a test CSV, a steps file and a config, all valid."""
+    paths = {name: str(tmp_path / name) for name in
+             ("model.ckpt", "bank.csv", "test.csv", "steps.ndjson", "config.json")}
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    save_checkpoint(params, paths["model.ckpt"])
+    train_set, test_set = generate_blobs(BlobSpec(samples_per_cluster=5))
+    save_bank(extract_bank(params, train_set), paths["bank.csv"])
+    data.save_csv(test_set, paths["test.csv"])
+    _write_steps(paths["steps.ndjson"], [0, UNKNOWN], [0, 1])
+    Path(paths["config.json"]).write_text("{}")
+    return paths
+
+
+def _commands(paths, tmp_path):
+    out = str(tmp_path / "out")
+    adapt = ["adapt", "--config", paths["config.json"], "--checkpoint", paths["model.ckpt"],
+             "--bank", paths["bank.csv"], "--test-csv", paths["test.csv"],
+             "--steps-out", out + ".ndjson"]
+    return {
+        "--config": ["run", "--config", paths["config.json"], "--outdir", out],
+        "--bank": adapt,
+        "--checkpoint": adapt,
+        "--test-csv": adapt,
+        "--steps": ["eval", "--steps", paths["steps.ndjson"], "--num-known", "3",
+                    "--report-out", out + ".json"],
+    }
+
+
+@pytest.mark.parametrize("flag", ["--config", "--bank", "--checkpoint", "--test-csv", "--steps"])
+def test_cli_reports_a_directory_given_as_a_file(tmp_path, capfd, flag):
+    paths = _adapt_inputs(tmp_path)
+    argv = _commands(paths, tmp_path)[flag]
+    directory = str(tmp_path / "a-directory")
+    os.mkdir(directory)
+    argv[argv.index(flag) + 1] = directory
+    assert main(argv) == 1
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == f"[Errno 21] Is a directory: {directory!r}"
+    assert sorted(os.listdir(tmp_path)) == sorted([*map(os.path.basename, paths.values()),
+                                                   "a-directory"])  # no new file
+
+
+@pytest.mark.parametrize("flag", ["--test-csv", "--steps"])
+def test_cli_names_a_binary_file(tmp_path, capsys, flag):
+    paths = _adapt_inputs(tmp_path)
+    argv = _commands(paths, tmp_path)[flag]
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00\x01 not text\n")
+    argv[argv.index(flag) + 1] = str(binary)
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{binary}: not a text file")
+
+
+def test_cli_names_the_steps_path_given_when_its_directory_is_missing(tmp_path, capsys):
+    paths = _adapt_inputs(tmp_path)
+    argv = _commands(paths, tmp_path)["--bank"]
+    steps_out = str(tmp_path / "nodir" / "s.ndjson")
+    argv[argv.index("--steps-out") + 1] = steps_out
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"[Errno 2] No such file or directory: {steps_out!r}")

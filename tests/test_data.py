@@ -1,7 +1,13 @@
 import collections
+import csv
+import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ostta.data import (
     UNKNOWN,
@@ -138,6 +144,40 @@ def test_load_csv_rejects_malformed_row(tmp_path, row, problem):
     path.write_text(f"f0,f1,label\n1.0,2.0,0\n{row}\n3.0,4.0,1\n")
     with pytest.raises(ValueError, match=f"bad.csv, row 3: {problem}"):
         load_csv(str(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 5)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.lists(st.integers(-1, 3), min_size=12, max_size=12))
+def test_save_csv_bytes_equal_csv_writer(tmp_path_factory, features, labels):
+    dataset = [Sample(f, lab) for f, lab in zip(features, labels)]
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow([f"f{i}" for i in range(features.shape[1])] + ["label"])
+    for s in dataset:
+        writer.writerow([repr(float(v)) for v in s.features]
+                        + ["unknown" if s.label == UNKNOWN else str(s.label)])
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    save_csv(dataset, str(path))
+    assert path.read_bytes() == out.getvalue().encode()
+
+
+def test_load_csv_names_the_file_for_bytes_that_are_not_text(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"f0,f1,label\n\xff\xfe\x00\x01,2.0,0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a text file"):
+        load_csv(str(path))
+
+
+def test_atomic_open_into_a_missing_directory_names_the_path_given(tmp_path):
+    path = str(tmp_path / "nodir" / "s.ndjson")
+    with pytest.raises(FileNotFoundError) as err:
+        with atomic_open(path) as fh:
+            fh.write("x")
+    assert err.value.filename == path
+    assert str(err.value) == f"[Errno 2] No such file or directory: {path!r}"
+    assert ".tmp" not in str(err.value)
 
 
 def test_load_csv_rejects_missing_header(tmp_path):

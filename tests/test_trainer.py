@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 import warnings
 
 import numpy as np
@@ -280,10 +281,31 @@ def test_bank_round_trip(tmp_path):
     bank = extract_bank(params, _tiny_set())
     path = tmp_path / "bank.csv"
     save_bank(bank, str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bank.csv"]  # one file
     loaded = load_bank(str(path))
     assert np.array_equal(bank.embeddings, loaded.embeddings)
     assert np.array_equal(bank.labels, loaded.labels)
-    assert np.array_equal(bank.prototypes, loaded.prototypes)
+    # the prototypes are computed from the loaded rows, to the bit
+    assert bank.prototypes.tobytes() == loaded.prototypes.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 40))
+def test_loaded_prototypes_equal_extracted_ones_bit_for_bit(tmp_path_factory, seed, num_known, spc):
+    spec = BlobSpec(num_known=num_known, samples_per_cluster=spc, seed=seed)
+    train_set, _ = generate_blobs(spec)
+    bank = extract_bank(init_model(2, 6, num_known, seed % 7, hidden=(8,)), train_set)
+    path = tmp_path_factory.mktemp("bank") / "bank.csv"
+    save_bank(bank, str(path))
+    assert load_bank(str(path)).prototypes.tobytes() == bank.prototypes.tobytes()
+
+
+def test_load_bank_ignores_a_stale_prototype_sidecar(tmp_path):
+    bank = extract_bank(init_model(2, 4, 3, 0, hidden=(8,)), _tiny_set())
+    path = tmp_path / "bank.csv"
+    save_bank(bank, str(path))
+    (tmp_path / "bank.csv.proto.csv").write_text("z0,label\r\nnot a number,9\r\n")
+    assert load_bank(str(path)).prototypes.tobytes() == bank.prototypes.tobytes()
 
 
 def test_load_bank_rejects_malformed_rows(tmp_path):
@@ -295,12 +317,33 @@ def test_load_bank_rejects_malformed_rows(tmp_path):
     path.write_text("\n".join(short) + "\n")
     with pytest.raises(ValueError, match="bank.csv, row 3: 3 columns, the header has 5"):
         load_bank(str(path))
-    path.write_text("\n".join(good) + "\n")
-    proto = tmp_path / "bank.csv.proto.csv"
-    lines = proto.read_text().splitlines()
+    lines = list(good)
     lines[1] = "nan" + lines[1][lines[1].index(","):]
-    proto.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="proto.csv, row 2: non-finite"):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="bank.csv, row 2: non-finite"):
+        load_bank(str(path))
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 2, 0, 2, 0, 2], r"no rows of class 1: no prototype"),
+    ([0, 1, 2, 0, 1, 10**12], r"no rows of class 3: no prototype"),
+    ([0, 1, -1, 0, 1, 2], r"label outside known range \[0, 3\): \[-1\]"),
+    ([0, 1, 2, 0, 1, "unknown"], r"label outside known range \[0, 3\): \[-1\]"),
+], ids=["missing-class", "huge-label", "negative-label", "unknown-label"])
+def test_load_bank_names_the_file_for_labels_that_are_not_every_class(tmp_path, labels, message):
+    path = tmp_path / "bank.csv"
+    rows = extract_bank(init_model(2, 4, 3, 0, hidden=(8,)), _tiny_set()).embeddings
+    path.write_text("z0,z1,z2,z3,label\n" + "".join(
+        ",".join(map(repr, z)) + f",{lab}\n" for z, lab in zip(rows.tolist(), labels)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_bank(str(path))
+
+
+def test_load_bank_names_the_file_for_a_header_only_bank(tmp_path):
+    path = tmp_path / "bank.csv"
+    path.write_text("z0,z1,label\r\n")
+    message = rf"^{re.escape(str(path))}: no rows of class 0: no prototype$"
+    with pytest.raises(ValueError, match=message):
         load_bank(str(path))
 
 
@@ -343,20 +386,4 @@ def test_save_bank_bytes_equal_csv_writer(tmp_path_factory, embeddings, num_know
     path = tmp_path_factory.mktemp("bank") / "bank.csv"
     save_bank(EmbeddingBank(embeddings, labels, prototypes), str(path))
     assert path.read_bytes() == _csv_writer_bytes(embeddings, labels)
-    sidecar = path.with_name("bank.csv.proto.csv").read_bytes()
-    assert sidecar == _csv_writer_bytes(prototypes, range(len(prototypes)))
-
-
-def test_load_bank_rejects_a_sidecar_of_the_wrong_width(tmp_path):
-    rng = np.random.default_rng(0)
-    wide = rng.normal(size=(15, 8))
-    path = tmp_path / "bank.csv"
-    save_bank(EmbeddingBank(wide, np.arange(15) % 3, wide[:3]), str(path))
-    narrow = tmp_path / "narrow.csv"
-    save_bank(EmbeddingBank(wide[:3, :4], np.arange(3), wide[:3, :4]), str(narrow))
-    sidecar = tmp_path / "bank.csv.proto.csv"
-    sidecar.write_bytes(narrow.read_bytes())  # 3 prototypes of width 4
-    with pytest.raises(ValueError, match=r"proto\.csv: prototypes of shape \(3, 4\) do not fit "
-                                         r"the bank's rows of shape \(15, 8\)") as err:
-        load_bank(str(path))
-    assert str(sidecar) in str(err.value)
+    assert [p.name for p in path.parent.iterdir()] == ["bank.csv"]  # no prototype sidecar
