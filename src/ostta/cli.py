@@ -241,6 +241,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
 
 def _cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
+    cfg.validate()
     train_set, test_set = generate_blobs(cfg.blob)
     shifted = apply_shift(test_set, cfg.shift)
     os.makedirs(args.outdir, exist_ok=True)

@@ -17,6 +17,7 @@ from .trainer import EmbeddingBank
 @dataclass
 class KnnIndex:
     bank: EmbeddingBank
+    columns: np.ndarray  # (d, n), C-contiguous: the bank's embeddings, one per column
     k: int = 10
 
 
@@ -33,7 +34,7 @@ def build_index(bank: EmbeddingBank, k: int = 10) -> KnnIndex:
         raise ValueError(f"k={k} must be in [1, {len(bank)}]")
     if not np.isfinite(bank.embeddings).all():
         raise ValueError("bank embeddings must be finite")
-    return KnnIndex(bank, k)
+    return KnnIndex(bank, np.ascontiguousarray(bank.embeddings.T), k)
 
 
 def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
@@ -60,15 +61,15 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
 def query(index: KnnIndex, z: np.ndarray) -> Neighborhood:
     """Neighborhood of each unit row of an (n, d) matrix; a 1-D z is the
     one-row case and gives a neighborhood of 1-D arrays. Each row's
-    similarities are a one-row product of their own, so a row gets exactly
-    the bits of its 1-D call, whatever rows share the matrix."""
+    similarities are a one-row product of their own with the index's
+    column-major bank, so a row gets exactly the bits of its 1-D call,
+    whatever rows share the matrix, and whatever the layout of the bank."""
     z = np.asarray(z, dtype=np.float64)
     rows = z.reshape(-1, z.shape[-1])
     if not all(abs(n - 1.0) <= 1e-6 for n in np.sqrt((rows * rows).sum(axis=1)).tolist()):
         raise ValueError("query vector must be unit-norm")
-    emb = index.bank.embeddings
-    ids = _top_k((rows[:, None, :] @ emb.T)[:, 0], index.k)
-    mean = emb[ids].sum(axis=1) / index.k  # the bits of np.mean
+    ids = _top_k((rows[:, None, :] @ index.columns)[:, 0], index.k)
+    mean = index.bank.embeddings[ids].sum(axis=1) / index.k  # the bits of np.mean
     if z.ndim == 1:
         ids, mean = ids[0], mean[0]
     try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN, atomic_open, from_json
+from .data import UNKNOWN, atomic_open, from_json, text_lines
 from .knn import KnnIndex, build_index, query
 from .model import ModelParams, forward
 from .numeric import l2_normalize
@@ -119,36 +119,39 @@ def followup_predict(state: TurState, z: np.ndarray) -> np.ndarray:
     return np.where(k == state.num_known, UNKNOWN, k)
 
 
-def decide(state: TurState, centroid: np.ndarray):
-    """Route neighborhood-centroid rows on the current state, without
-    changing it. Returns per row the best source prototype, the best target
-    prototype (ties go to the lowest) and whether the two agree: an agreed
-    row is labelled by its source match, any other by the follow-up
-    prototypes."""
-    k_src = (centroid @ state.source_prototypes.T).argmax(-1)
+def decide(state: TurState, centroid: np.ndarray, k_src):
+    """Route neighborhood-centroid rows, given their source matches from
+    `embed`, on the current state, without changing it. Returns per row the
+    best target prototype (ties go to the lowest) and whether it is the
+    source match: an agreed row is labelled by its source match, any other
+    by the follow-up prototypes."""
     k_tgt = (centroid @ state.target_prototypes.T).argmax(-1)
-    return k_src, k_tgt, k_src == k_tgt
+    return k_tgt, k_src == k_tgt
 
 
-def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The state-free half of a step: the unit embeddings of the rows of x
-    (a 1-D x is one sample) and their source-neighborhood centroids. A
-    matrix is computed as a stack of one-row products, so every row gets
-    exactly the bits of its own 1-D call."""
+    (a 1-D x is one sample), their source-neighborhood centroids and the
+    centroids' best source prototypes. A matrix is computed as a stack of
+    one-row products, so every row gets exactly the bits of its own 1-D
+    call."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         z = forward(state.params, x).z
     else:
         z = forward(state.params, x[:, None, :]).z[:, 0]
-    return z, query(state.index, z).centroid
+    centroid = query(state.index, z).centroid
+    k_src = (centroid[..., None, :] @ state.source_prototypes.T)[..., 0, :].argmax(-1)
+    return z, centroid, k_src
 
 
-def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray) -> Prediction:
+def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray, k_src) -> Prediction:
     """The stateful half of a step, for one sample embedded by `embed`: route
     it with `decide`, then update the matched target prototype, or update the
     head-predicted follow-up prototype and take the follow-up label. Mutates
     state in place; never touches params."""
-    k_src, k_tgt, agreed = map(int, decide(state, centroid))
+    k_tgt, agreed = decide(state, centroid, k_src)
+    k_src, k_tgt = int(k_src), int(k_tgt)
     if agreed:
         update_prototype(state, state.target_prototypes, k_src, z_t)
         pred = Prediction(k_src, "agreed", k_src, k_tgt)
@@ -162,8 +165,8 @@ def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray) -> Prediction:
 def predict_frozen(state: TurState, x: np.ndarray) -> np.ndarray:
     """Label the rows of x (a 1-D x is one point) as `step` would, without
     changing the state; used for decision-grid export after a stream."""
-    z, centroid = embed(state, x)
-    k_src, _, agreed = decide(state, centroid)
+    z, centroid, k_src = embed(state, x)
+    _, agreed = decide(state, centroid, k_src)
     return np.where(agreed, k_src, followup_predict(state, z))[()]  # one point: a scalar
 
 
@@ -184,8 +187,8 @@ def run_stream(state: TurState, stream) -> list[Prediction]:
         if len(block) == 1:
             preds.append(step(state, *embed(state, block[0].features)))
             continue
-        z, centroid = embed(state, np.stack([s.features for s in block]))
-        preds += [step(state, z_t, c) for z_t, c in zip(z, centroid)]
+        z, centroid, k_src = embed(state, np.stack([s.features for s in block]))
+        preds += [step(state, *row) for row in zip(z, centroid, k_src)]
     return preds
 
 
@@ -211,8 +214,10 @@ def save_snapshot(state: TurState, path: str) -> None:
 
 
 def load_snapshot(path: str, bank: EmbeddingBank, params: ModelParams) -> TurState:
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        payload = json.loads("".join(text_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON snapshot: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a format-{SNAPSHOT_FORMAT} engine snapshot")
     model = _fingerprint(params)

@@ -299,6 +299,16 @@ def test_cli_rejects_a_translation_of_another_width_before_any_output(tmp_path, 
     assert not outdir.exists()
 
 
+def test_cli_gen_data_validates_its_config_before_any_output(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"shift": {"translation": [1.0, 2.0, 3.0]}}))
+    outdir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "config.shift.translation needs config.blob.dim=2 values"
+    assert not outdir.exists()
+
+
 def test_cli_names_a_config_that_is_cut(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"train": {"epochs": 5}})[:18])

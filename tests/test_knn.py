@@ -144,14 +144,34 @@ def test_query_equals_stable_argsort_on_duplicate_rows(seed, distinct, size, dim
     k = data.draw(st.integers(1, size))
     z = l2_normalize(rng.normal(size=(n, dim)))
     z[0] = bank.embeddings[rng.integers(size)]  # a query exactly on a tie group
-    emb = bank.embeddings
     index = build_index(bank, k=k)
     # each oracle sorts the similarity product the query itself computes:
-    # one one-row product per query row
+    # one one-row product per query row with the index's column-major bank
     hood = query(index, z)
-    assert np.array_equal(hood.indices, _stable_top_k((z[:, None, :] @ emb.T)[:, 0], k))
+    assert np.array_equal(hood.indices, _stable_top_k((z[:, None, :] @ index.columns)[:, 0], k))
     for row, ids, centroid in zip(z, hood.indices, hood.centroid):  # the one-row case
-        want = _stable_top_k(row[None] @ emb.T, k)[0]
+        want = _stable_top_k(row[None] @ index.columns, k)[0]
         one = query(index, row)
         assert np.array_equal(one.indices, want) and np.array_equal(one.indices, ids)
         assert np.array_equal(one.centroid, centroid)  # bit for bit
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 12), size=st.integers(2, 300),
+       dim=st.integers(2, 9), n=st.integers(1, 5), data=st.data())
+def test_bank_layout_changes_no_id_and_no_centroid_bit(seed, distinct, size, dim, n, data):
+    # the index fixes its own layout: rows given in C or in Fortran order query alike
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, dim))
+    c_bank = _bank_from(base[rng.integers(distinct, size=size)])
+    f_bank = EmbeddingBank(np.asfortranarray(c_bank.embeddings), c_bank.labels, c_bank.prototypes)
+    assert f_bank.embeddings.flags.f_contiguous and not f_bank.embeddings.flags.c_contiguous
+    k = data.draw(st.integers(1, size))
+    z = l2_normalize(rng.normal(size=(n, dim)))
+    z[0] = c_bank.embeddings[rng.integers(size)]  # a query exactly on a tie group
+    c_index, f_index = build_index(c_bank, k=k), build_index(f_bank, k=k)
+    assert c_index.columns.flags.c_contiguous and f_index.columns.flags.c_contiguous
+    for q in (z, z[0]):  # a block and a 1-D query
+        c_hood, f_hood = query(c_index, q), query(f_index, q)
+        assert np.array_equal(c_hood.indices, f_hood.indices)
+        assert c_hood.centroid.tobytes() == f_hood.centroid.tobytes()

@@ -116,12 +116,14 @@ def test_init_rejects_prototypes_that_do_not_fit_the_model():
 def test_match_source_argmax():
     state, _, _ = _toy_state()
     for k in range(3):
-        assert decide(state, state.source_prototypes[k]) == (k, k, True)
+        assert decide(state, state.source_prototypes[k], k) == (k, True)
     state.target_prototypes[[0, 1]] = state.target_prototypes[[1, 0]]
-    k_src, k_tgt, agreed = decide(state, state.source_prototypes)  # one row per class
-    assert k_src.tolist() == [0, 1, 2]
+    k_tgt, agreed = decide(state, state.source_prototypes, np.arange(3))  # one row per class
     assert k_tgt.tolist() == [1, 0, 2]
     assert agreed.tolist() == [False, False, True]
+    # the source match comes with the centroid from `embed`: the best source prototype
+    _, centroid, k_src = embed(state, np.random.default_rng(1).normal(size=(20, 2)) * 5)
+    assert k_src.tolist() == [int((c @ state.source_prototypes.T).argmax()) for c in centroid]
 
 
 def test_ema_update_hand_value():
@@ -221,7 +223,7 @@ def test_step_followup_route_grows_memory():
     # the fixture's stream exercises both routes
     assert len(followups) >= 10 and len(preds) - len(followups) >= 10
     # the follow-up prototypes that moved are those of the head's classes of follow-up steps
-    z, _ = embed(state, np.stack([s.features for s in stream]))
+    z, _, _ = embed(state, np.stack([s.features for s in stream]))
     routed = {int((params.head @ z_t).argmax())
               for z_t, p in zip(z, preds) if p.route == "followup"}
     seeds = init_tur(bank, params, TurConfig(k=10)).followup_prototypes
@@ -298,8 +300,7 @@ def _seed_target_prototypes(state, stream, start):
     match, `seed_per_class` each class's first source-matched embedding."""
     if start == "copy_source":
         return
-    z, centroid = embed(state, np.stack([s.features for s in stream]))
-    k_src = (centroid @ state.source_prototypes.T).argmax(-1)
+    z, _, k_src = embed(state, np.stack([s.features for s in stream]))
     for k in (k_src[:1] if start == "seed_on_first_match" else np.unique(k_src)):
         state.target_prototypes[k] = z[np.flatnonzero(k_src == k)[0]]
 
@@ -396,6 +397,22 @@ def test_prototypes_stay_unit_and_labels_valid_after_any_stream(seed, n, scale, 
     assert set(predict_frozen(state, np.stack([s.features for s in stream])).tolist()) <= valid
 
 
+@pytest.mark.parametrize("spoil, match", [
+    (lambda whole: whole[: len(whole) // 2], "not a JSON snapshot: "),
+    (lambda whole: b"\xff\xfe\x00\x01" + whole, "not a text file"),
+], ids=["cut", "binary"])
+def test_load_snapshot_names_a_malformed_file(tmp_path, spoil, match):
+    params, bank, stream = _trained_model()
+    state = init_tur(bank, params, TurConfig(k=5))
+    run_stream(state, stream[:20])
+    path = tmp_path / "snap.json"
+    save_snapshot(state, str(path))
+    path.write_bytes(spoil(path.read_bytes()))
+    with pytest.raises(ValueError) as err:
+        load_snapshot(str(path), bank, params)
+    assert str(err.value).startswith(f"{path}: {match}")
+
+
 def test_load_snapshot_rejects_another_model(tmp_path):
     params, bank, stream = _trained_model()
     state = init_tur(bank, params, TurConfig(k=5))
@@ -414,11 +431,13 @@ def test_embed_rows_equal_one_sample_calls(rows):
     state = init_tur(bank, params, TurConfig(k=5))
     lattice = np.linspace(-12, 12, 25)
     x = np.concatenate([[[a, b] for b in lattice for a in lattice], [s.features for s in stream]])
-    z, centroid = embed(state, x[:rows])
+    z, centroid, k_src = embed(state, x[:rows])
     assert z.shape == centroid.shape == (rows, params.embed_dim)
-    for x_t, z_t, c in zip(x, z, centroid):
-        one_z, one_c = embed(state, x_t)
+    assert k_src.shape == (rows,)
+    for x_t, z_t, c, k in zip(x, z, centroid, k_src):
+        one_z, one_c, one_k = embed(state, x_t)
         assert np.array_equal(z_t, one_z) and np.array_equal(c, one_c)  # bit for bit
+        assert one_k.shape == () and one_k == k
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,3 +458,18 @@ def test_any_cut_and_block_size_equal_one_sample_steps(rows, cuts):
             got += run_stream(cut, stream[start:stop])
     assert got == want
     assert _state_bytes(cut) == _state_bytes(alone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 80),
+       picks=st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_embed_source_matches_equal_one_sample_calls(seed, rows, picks):
+    # repeated picks give duplicate source prototypes: ties a block must break as 1-D calls do
+    params, bank, _ = _trained_model()
+    tied = dataclasses.replace(bank, prototypes=bank.prototypes[picks])
+    state = init_tur(tied, params, TurConfig(k=5))
+    x = np.random.default_rng(seed).uniform(-12.0, 12.0, size=(rows, 2))
+    _, centroid, k_src = embed(state, x)
+    for x_t, c, k in zip(x, centroid, k_src):
+        assert embed(state, x_t)[2] == k
+        assert int((c @ state.source_prototypes.T).argmax()) == k  # the 1-D product's argmax
