@@ -34,7 +34,7 @@ from .data import (
     text_lines,
 )
 from .losses import OBJECTIVES, LossConfig
-from .metrics import decision_grid, evaluate, save_grid
+from .metrics import LabelError, decision_grid, evaluate, save_grid
 from .model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, extract_bank, load_bank, save_bank, train_many
 from .tur import (
@@ -277,6 +277,8 @@ def _cmd_adapt(args) -> int:
                          f"{len(bank.prototypes)} class prototypes, the checkpoint "
                          f"{args.checkpoint} embeds to width {params.embed_dim} with "
                          f"{params.num_known} known classes")
+    if not 1 <= cfg.tur.k <= len(bank):
+        raise ValueError(f"config.tur.k={cfg.tur.k} must be in [1, {len(bank)}] for --bank {args.bank}")
     stream = make_stream(test_set, args.stream_seed)
     state = init_tur(bank, params, cfg.tur)
     preds = run_stream(state, stream)
@@ -287,28 +289,31 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
-def _read_steps(path: str) -> tuple[list, list]:
-    """The predicted and true labels of a steps file, in stream order."""
-    preds, truths = [], []
+def _read_steps(path: str) -> list[tuple]:
+    """(pred, true, line number) per record of a steps file, in stream order."""
+    records = []
     for line_no, line in enumerate(text_lines(path), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-            preds.append(record["pred"])
-            truths.append(record["true"])
+            records.append((record["pred"], record["true"], line_no))
         except (ValueError, KeyError, TypeError):
             raise ValueError(f"{path}, line {line_no}: not a JSON object "
                              "with pred and true") from None
-    if not preds:
+    if not records:
         raise ValueError(f"{path}: no step records")
-    return preds, truths
+    return records
 
 
 def _cmd_eval(args) -> int:
     if args.num_known < 1:
         raise ValueError(f"--num-known={args.num_known} must be >= 1")
-    report = evaluate(*_read_steps(args.steps), args.num_known)
+    preds, truths, line_nos = zip(*_read_steps(args.steps))
+    try:
+        report = evaluate(preds, truths, args.num_known)
+    except LabelError as exc:
+        raise ValueError(f"{args.steps}, line {line_nos[exc.step]}: {exc}") from None
     report.to_json(args.report_out)
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0

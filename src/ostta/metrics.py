@@ -33,6 +33,13 @@ class EvalReport:
             fh.write("\n")
 
 
+class LabelError(ValueError):
+    """A label neither a known class nor UNKNOWN, at index `step` of the stream."""
+    def __init__(self, message: str, step: int) -> None:
+        super().__init__(message)
+        self.step = step
+
+
 def _is_int(kind: type) -> bool:
     return kind is int or issubclass(kind, np.integer)
 
@@ -62,8 +69,8 @@ def accuracies(
     if len(bad):
         i = bad[0]
         label = truths[i] if true[i] < 0 else predictions[i]
-        raise ValueError(
-            f"label {label!r} is neither a known class 0..{num_known - 1} nor UNKNOWN ({UNKNOWN})")
+        raise LabelError(f"label {label!r} is neither a known class 0..{num_known - 1} nor "
+                         f"UNKNOWN ({UNKNOWN})", int(i))
     confusion = np.zeros((num_known + 1, num_known + 1), dtype=np.int64)
     np.add.at(confusion, (true, pred), 1)
     recalls = []

@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ class TurState:
         return self.source_prototypes.shape[0]
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     label: int  # known index or UNKNOWN
     route: str  # "agreed" or "followup"
     source_match: int
@@ -116,7 +116,7 @@ def followup_predict(state: TurState, z: np.ndarray) -> np.ndarray:
     """(num_known + 1)-way argmax per embedding row of z over the follow-up
     prototypes; the last index maps to UNKNOWN."""
     k = (z @ state.followup_prototypes.T).argmax(-1)
-    return np.where(k == state.num_known, UNKNOWN, k)
+    return (k + 1) % (state.num_known + 1) + UNKNOWN  # known k stays k, as UNKNOWN is -1
 
 
 def decide(state: TurState, centroid: np.ndarray, k_src):
@@ -141,8 +141,9 @@ def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     else:
         z = forward(state.params, x[:, None, :]).z[:, 0]
     centroid = query(state.index, z).centroid
-    k_src = (centroid[..., None, :] @ state.source_prototypes.T)[..., 0, :].argmax(-1)
-    return z, centroid, k_src
+    table = state.source_prototypes.T
+    k_src = centroid @ table if x.ndim == 1 else (centroid[:, None, :] @ table)[:, 0]
+    return z, centroid, k_src.argmax(-1)
 
 
 def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray, k_src) -> Prediction:

@@ -369,6 +369,21 @@ def test_cli_eval_rejects_label_outside_the_classes(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("record, label", [({"pred": 0, "true": 7}, 7), ({"pred": -3, "true": 1}, -3),
+                                           ({"pred": 0, "true": "0"}, "0")])
+def test_cli_eval_names_the_file_and_line_of_a_bad_label(tmp_path, capsys, record, label):
+    # a blank line before the bad record: the line number counts it, the record index does not
+    steps = tmp_path / "steps.ndjson"
+    good = json.dumps({"pred": 1, "true": UNKNOWN}) + "\n"
+    steps.write_text(good + "\n" + good + json.dumps(record) + "\n" + good)
+    code = main(["eval", "--steps", str(steps), "--num-known", "2",
+                 "--report-out", str(tmp_path / "report.json")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"{steps}, line 4: label {label!r} is neither a known class 0..1 nor UNKNOWN ({UNKNOWN})")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("bad_line", ['{"true": 0}', '{"pred": 0, "true": 0'],
                          ids=["no-pred", "not-json"])
 def test_cli_eval_names_the_file_and_line_of_a_malformed_record(tmp_path, capsys, bad_line):
@@ -493,6 +508,27 @@ def test_cli_adapt_rejects_a_bank_of_another_embedding_width(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == (f"{bank_path}: embeddings of width 8 and 3 class prototypes, the checkpoint "
                      f"{ckpt} embeds to width 5 with 3 known classes")
+    assert not steps.exists() and not snap.exists()
+
+
+
+@pytest.mark.parametrize("k", [100000, 16, 0])
+def test_cli_adapt_names_the_key_and_the_bank_for_a_k_out_of_range(tmp_path, capsys, k):
+    # the bank holds 3 * 5 rows, so k must be in [1, 15]
+    ckpt, bank_path = str(tmp_path / "model.ckpt"), str(tmp_path / "bank.csv")
+    params = init_model(2, 4, 3, 0, hidden=(8,))
+    save_checkpoint(params, ckpt)
+    train_set, test_set = generate_blobs(BlobSpec(samples_per_cluster=5))
+    save_bank(extract_bank(params, train_set), bank_path)
+    test_csv, config = str(tmp_path / "test.csv"), tmp_path / "config.json"
+    data.save_csv(test_set, test_csv)
+    config.write_text(json.dumps({"tur": {"k": k}}))
+    steps, snap = tmp_path / "steps.ndjson", tmp_path / "snap.json"
+    assert main(["adapt", "--config", str(config), "--checkpoint", ckpt, "--bank", bank_path,
+                 "--test-csv", test_csv, "--steps-out", str(steps),
+                 "--snapshot-out", str(snap)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"config.tur.k={k} must be in [1, 15] for --bank {bank_path}"
     assert not steps.exists() and not snap.exists()
 
 

@@ -85,11 +85,40 @@ def test_build_index_validation():
         build_index(bank, k=6)
 
 
-def test_query_requires_unit_vector():
-    bank = _random_bank(5, 3, 7)
-    index = build_index(bank, k=2)
-    with pytest.raises(ValueError):
-        query(index, np.array([2.0, 0.0, 0.0]))
+def _passes(index, z) -> bool:
+    try:
+        query(index, z)
+    except ValueError as exc:
+        assert str(exc) in ("query vector must be unit-norm",
+                            "cannot normalize a zero or non-finite vector")
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), data=st.data())
+def test_query_requires_unit_vector(seed, dim, data):
+    # a row within 1e-6 of unit norm passes; one NaN, infinite, zero or further off raises,
+    # alone, as a one-row matrix or in a block (a margin keeps rounding off the bound)
+    rng = np.random.default_rng(seed)
+    index = build_index(_random_bank(7, dim, seed), k=2)
+    kinds = data.draw(st.lists(st.sampled_from(["unit", "near", "off", "zero", "nan", "inf"]),
+                               min_size=1, max_size=5))
+    rows = []
+    for kind in kinds:
+        v = l2_normalize(rng.normal(size=dim))
+        if kind == "near":
+            v = v * (1.0 + data.draw(st.floats(-0.9e-6, 0.9e-6)))
+        elif kind == "off":
+            v = v * (1.0 + data.draw(st.one_of(st.floats(1.1e-6, 10.0), st.floats(-0.99, -1.1e-6))))
+        elif kind != "unit":
+            v[data.draw(st.integers(0, dim - 1))] = {"nan": np.nan, "inf": np.inf}.get(kind, 0.0)
+            v *= kind != "zero"
+        rows.append(v)
+    z = np.stack(rows)
+    for row, kind in zip(z, kinds):
+        assert _passes(index, row) == _passes(index, row[None]) == (kind in ("unit", "near"))
+    assert _passes(index, z) == all(kind in ("unit", "near") for kind in kinds)
 
 
 def test_antipodal_centroid_cancellation():
@@ -119,6 +148,7 @@ def test_top_k_equals_full_stable_argsort(seed, n, width, levels, layout, data):
         stride = data.draw(st.one_of(st.just(max(k, math.isqrt(width * k))), st.integers(1, width)))
         sims[:, np.argsort(np.arange(width) % stride, kind="stable")] = sims.copy()
     assert np.array_equal(_top_k(sims, k), _stable_top_k(sims, k))
+    assert np.array_equal(_top_k(sims[0], k), _stable_top_k(sims, k)[0])  # a 1-D row
 
 
 def test_block_query_equals_one_row_queries_on_a_large_bank():

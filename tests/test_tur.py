@@ -190,6 +190,12 @@ def test_followup_predict_maps_last_to_unknown():
     state.followup_prototypes = np.eye(4)
     assert followup_predict(state, np.eye(4)[1]) == 1
     assert followup_predict(state, np.eye(4)[3]) == UNKNOWN
+    # a block: each row's label is its 1-D call's, the last index UNKNOWN here too
+    rng = np.random.default_rng(0)
+    z = np.concatenate([np.eye(4)[[3, 1, 0, 3, 2]], l2_normalize(rng.normal(size=(20, 4)))])
+    block = followup_predict(state, z)
+    assert block.tolist() == [followup_predict(state, row) for row in z]
+    assert block[:5].tolist() == [UNKNOWN, 1, 0, UNKNOWN, 2] and UNKNOWN in block[5:].tolist()
 
 
 def test_step_agreement_route():
