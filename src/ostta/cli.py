@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -87,6 +88,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.blob.validate()
+        self.shift.validate()
         self.model.validate()
         self.train.validate()
         self.tur.validate()
@@ -97,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("need at least one stream seed")
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution={self.grid_resolution} must be >= 2")
+        if not 0.0 <= self.grid_margin < math.inf:
+            raise ValueError(f"config.grid_margin={self.grid_margin} must be finite and >= 0")
         if self.shift.translation and len(self.shift.translation) != self.blob.dim:
             raise ValueError(f"config.shift.translation needs config.blob.dim={self.blob.dim} values")
         bank_size = self.blob.num_known * self.blob.samples_per_cluster
@@ -203,14 +207,15 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
 
     train_set, test_set = generate_blobs(cfg.blob)
     shifted_test = apply_shift(test_set, cfg.shift)
+    streams = {seed: make_stream(shifted_test, seed) for seed in cfg.stream_seeds}
+    bbox = _grid_bbox(train_set + shifted_test, cfg.grid_margin)
     reports: dict[tuple[str, int], object] = {}
 
     models = _train_cached(cfg, cfg.arms, train_set, outdir)
     for arm in cfg.arms:
         params, bank = models[arm]
         grid_state = None
-        for seed in cfg.stream_seeds:
-            stream = make_stream(shifted_test, seed)
+        for seed, stream in streams.items():
             truths = [s.label for s in stream]
             if arm == "art":
                 state = init_tur(bank, params, cfg.tur)
@@ -226,7 +231,6 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
             reports[(arm, seed)] = report
 
         if cfg.blob.dim == 2:
-            bbox = _grid_bbox(train_set + shifted_test, cfg.grid_margin)
             if arm == "art":
                 grid = decision_grid(lambda pts: predict_frozen(grid_state, pts.reshape(-1, 2)),
                                      bbox, cfg.grid_resolution, block_rows(len(bank)))

@@ -38,17 +38,20 @@ class BlobSpec:
 
     def validate(self) -> None:
         if self.num_known < 2:
-            raise ValueError("need at least 2 known classes")
+            raise ValueError(f"config.blob.num_known={self.num_known} must be >= 2")
         if self.num_unknown_clusters < 1:
-            raise ValueError("need at least 1 unknown cluster")
+            raise ValueError(f"config.blob.num_unknown_clusters={self.num_unknown_clusters} must be >= 1")
         if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+            raise ValueError(f"config.blob.dim={self.dim} must be >= 2")
         if self.samples_per_cluster < 1:
-            raise ValueError("samples_per_cluster must be >= 1")
-        if self.cluster_std <= 0:
-            raise ValueError("cluster_std must be positive")
-        if self.center_box[0] >= self.center_box[1]:
-            raise ValueError("center_box low must be < high")
+            raise ValueError(f"config.blob.samples_per_cluster={self.samples_per_cluster} must be >= 1")
+        if not 0.0 < self.cluster_std < math.inf:
+            raise ValueError(f"config.blob.cluster_std={self.cluster_std} must be finite and positive")
+        low, high = self.center_box
+        if not math.isfinite(high - low):  # also a NaN or infinite end
+            raise ValueError(f"config.blob.center_box={[low, high]} needs finite ends and width")
+        if low >= high:
+            raise ValueError(f"config.blob.center_box={[low, high]} needs low < high")
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,15 @@ class ShiftSpec:
     translation: tuple[float, ...] = ()
     noise_std: float = 0.0
     seed: int = 0
+
+    def validate(self) -> None:
+        if not math.isfinite(self.rotation_angle):
+            raise ValueError(f"config.shift.rotation_angle={self.rotation_angle} must be finite")
+        for i, value in enumerate(self.translation):
+            if not math.isfinite(value):
+                raise ValueError(f"config.shift.translation[{i}]={value} must be finite")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"config.shift.noise_std={self.noise_std} must be finite and >= 0")
 
 
 def _place_centers(spec: BlobSpec, rng: np.random.Generator) -> np.ndarray:
@@ -104,6 +116,7 @@ def generate_blobs(spec: BlobSpec) -> tuple[list[Sample], list[Sample]]:
 def apply_shift(dataset: list[Sample], shift: ShiftSpec) -> list[Sample]:
     """Rotate (first two dims), translate, then add Gaussian noise.
     Labels are untouched."""
+    shift.validate()
     if not dataset:
         raise ValueError("dataset is empty")
     dim = dataset[0].features.shape[0]

@@ -107,7 +107,7 @@ def update_prototype(state: TurState, table: np.ndarray, k: int, z_t: np.ndarray
 def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
     """Update the follow-up prototype of the head's predicted class. Returns
     the class."""
-    k = int((state.params.head @ z_t).argmax())
+    k = int(np.vecdot(z_t[..., None, :], state.params.head).argmax())
     update_prototype(state, state.followup_prototypes, k, z_t)
     return k
 
@@ -115,35 +115,33 @@ def update_memory_bank(state: TurState, z_t: np.ndarray) -> int:
 def followup_predict(state: TurState, z: np.ndarray) -> np.ndarray:
     """(num_known + 1)-way argmax per embedding row of z over the follow-up
     prototypes; the last index maps to UNKNOWN."""
-    k = (z @ state.followup_prototypes.T).argmax(-1)
+    k = np.vecdot(z[..., None, :], state.followup_prototypes).argmax(-1)
     return (k + 1) % (state.num_known + 1) + UNKNOWN  # known k stays k, as UNKNOWN is -1
 
 
 def decide(state: TurState, centroid: np.ndarray, k_src):
     """Route neighborhood-centroid rows, given their source matches from
     `embed`, on the current state, without changing it. Returns per row the
-    best target prototype (ties go to the lowest) and whether it is the
-    source match: an agreed row is labelled by its source match, any other
-    by the follow-up prototypes."""
-    k_tgt = (centroid @ state.target_prototypes.T).argmax(-1)
+    best target prototype by per-pair dot products (ties go to the lowest)
+    and whether it is the source match: an agreed row is labelled by its
+    source match, any other by the follow-up prototypes."""
+    k_tgt = np.vecdot(centroid[..., None, :], state.target_prototypes).argmax(-1)
     return k_tgt, k_src == k_tgt
 
 
 def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The state-free half of a step: the unit embeddings of the rows of x
     (a 1-D x is one sample), their source-neighborhood centroids and the
-    centroids' best source prototypes. A matrix is computed as a stack of
-    one-row products, so every row gets exactly the bits of its own 1-D
-    call."""
+    centroids' best source prototypes. A matrix is embedded as a stack of
+    one-row products and matched per (row, prototype) pair, so every row
+    gets exactly the bits of its own 1-D call."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         z = forward(state.params, x).z
     else:
         z = forward(state.params, x[:, None, :]).z[:, 0]
     centroid = query(state.index, z).centroid
-    table = state.source_prototypes.T
-    k_src = centroid @ table if x.ndim == 1 else (centroid[:, None, :] @ table)[:, 0]
-    return z, centroid, k_src.argmax(-1)
+    return z, centroid, np.vecdot(centroid[..., None, :], state.source_prototypes).argmax(-1)
 
 
 def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray, k_src) -> Prediction:
@@ -239,6 +237,12 @@ def load_snapshot(path: str, bank: EmbeddingBank, params: ModelParams) -> TurSta
             raise ValueError(f"{path}: {name} is not an array of numbers ({exc})") from None
         if value.shape != fresh.shape:
             raise ValueError(f"{path}: {name} has shape {value.shape}, the model needs {fresh.shape}")
+        with np.errstate(over="ignore"):  # an overflowed norm is rejected below
+            norm = np.linalg.norm(value, axis=1)
+        bad = np.flatnonzero(~(abs(norm - 1.0) <= 1e-6))  # NaN compares false
+        if len(bad):
+            raise ValueError(f"{path}: {name} row {bad[0]} has norm {norm[bad[0]]}, "
+                             "not a finite unit vector within 1e-6")
         setattr(state, name, value)
     state.step_count = steps
     return state

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -306,6 +307,30 @@ def test_cli_gen_data_validates_its_config_before_any_output(tmp_path, capsys):
     assert main(["gen-data", "--config", str(config_path), "--outdir", str(outdir)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == "config.shift.translation needs config.blob.dim=2 values"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "run"])
+@pytest.mark.parametrize("payload, key", [
+    ({"blob": {"center_box": [-8.0, math.inf]}}, "config.blob.center_box"),
+    ({"blob": {"center_box": [math.nan, 8.0]}}, "config.blob.center_box"),
+    ({"blob": {"center_box": [-1e308, 1e308]}}, "config.blob.center_box"),
+    ({"blob": {"cluster_std": math.nan}}, "config.blob.cluster_std"),
+    ({"shift": {"rotation_angle": math.inf}}, "config.shift.rotation_angle"),
+    ({"shift": {"translation": [0.0, math.nan]}}, "config.shift.translation[1]"),
+    ({"shift": {"noise_std": -1.0}}, "config.shift.noise_std"),
+    ({"shift": {"noise_std": math.nan}}, "config.shift.noise_std"),
+    ({"grid_margin": math.nan}, "config.grid_margin"),
+    ({"grid_margin": -50.0}, "config.grid_margin"),
+])
+def test_cli_names_the_key_of_a_non_finite_or_negative_value(tmp_path, capsys, command, payload, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))  # NaN and Infinity as Python's json writes them
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"].startswith(key + "=")
     assert not outdir.exists()
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from ostta import tur
 from ostta.cli import ExperimentConfig
 from ostta.data import UNKNOWN, BlobSpec, Sample, apply_shift, generate_blobs, make_stream
-from ostta.model import init_model
+from ostta.model import ModelParams, init_model
 from ostta.numeric import l2_normalize
 from ostta.trainer import EmbeddingBank, extract_bank, train
 from ostta.tur import (
@@ -67,6 +68,15 @@ def _trained_model():
     params, _ = train(init_model(2, 8, 3, 0), train_set, dataclasses.replace(ref.train, epochs=15))
     stream = make_stream(apply_shift(test_set, ref.shift), 0)
     return params, extract_bank(params, train_set), stream
+
+
+def _first_best(c, table):
+    """The best row of table for c by the per-pair dot product, ties to the
+    lowest index; asserted to be the first row equal to it."""
+    scores = [np.dot(c, row) for row in table]
+    k = scores.index(max(scores))
+    assert not any(np.array_equal(row, table[k]) for row in table[:k])  # the first of its tie group
+    return k
 
 
 def test_config_validation():
@@ -123,7 +133,7 @@ def test_match_source_argmax():
     assert agreed.tolist() == [False, False, True]
     # the source match comes with the centroid from `embed`: the best source prototype
     _, centroid, k_src = embed(state, np.random.default_rng(1).normal(size=(20, 2)) * 5)
-    assert k_src.tolist() == [int((c @ state.source_prototypes.T).argmax()) for c in centroid]
+    assert k_src.tolist() == [_first_best(c, state.source_prototypes) for c in centroid]
 
 
 def test_ema_update_hand_value():
@@ -419,6 +429,28 @@ def test_load_snapshot_names_a_malformed_file(tmp_path, spoil, match):
     assert str(err.value).startswith(f"{path}: {match}")
 
 
+@pytest.mark.parametrize("name", ["target_prototypes", "followup_prototypes"])
+@pytest.mark.parametrize("spoil", [
+    lambda row: [math.nan, *row[1:]],
+    lambda row: [*row[:-1], math.inf],
+    lambda row: [5.0 * v for v in row],
+    lambda row: [0.0] * len(row),
+], ids=["nan", "infinity", "norm-5", "zero"])
+def test_load_snapshot_refuses_a_row_that_is_not_a_finite_unit_vector(tmp_path, name, spoil):
+    params, bank, stream = _trained_model()
+    state = init_tur(bank, params, TurConfig(k=5))
+    run_stream(state, stream[:20])
+    path = tmp_path / "snap.json"
+    save_snapshot(state, str(path))
+    payload = json.loads(path.read_text())
+    payload[name][2] = spoil(payload[name][2])
+    path.write_text(json.dumps(payload))  # NaN and Infinity as Python's json writes them
+    with pytest.raises(ValueError) as err:
+        load_snapshot(str(path), bank, params)
+    assert str(err.value).startswith(f"{path}: {name} row 2 has norm ")
+    assert str(err.value).endswith("not a finite unit vector within 1e-6")
+
+
 def test_load_snapshot_rejects_another_model(tmp_path):
     params, bank, stream = _trained_model()
     state = init_tur(bank, params, TurConfig(k=5))
@@ -478,4 +510,31 @@ def test_embed_source_matches_equal_one_sample_calls(seed, rows, picks):
     _, centroid, k_src = embed(state, x)
     for x_t, c, k in zip(x, centroid, k_src):
         assert embed(state, x_t)[2] == k
-        assert int((c @ state.source_prototypes.T).argmax()) == k  # the 1-D product's argmax
+        assert _first_best(c, state.source_prototypes) == k  # the first of its tie group
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
+       picks=st.lists(st.integers(0, 3), min_size=4, max_size=4))
+def test_small_tables_tie_to_the_lowest_index_in_a_block_and_alone(seed, rows, picks):
+    # repeated picks give equal table rows: the source, target, follow-up and head
+    # matches of a block and of each of its rows alone are the first of their tie group
+    params, bank, _ = _trained_model()
+    rng = np.random.default_rng(seed)
+    table = l2_normalize(rng.normal(size=(4, params.embed_dim)))[picks]
+    tied = ModelParams(params.buffer.copy(), params.activations, params.shapes)
+    tied.head[...] = table
+    state = init_tur(dataclasses.replace(bank, prototypes=table[:3]), tied, TurConfig(k=5))
+    state.followup_prototypes[...] = table  # init renormalizes the head rows
+    x = rng.uniform(-12.0, 12.0, size=(rows, 2))
+    c = l2_normalize(rng.normal(size=(rows, params.embed_dim)))
+    _, centroid, k_src = embed(state, x)
+    k_tgt, _ = decide(state, c, k_src)
+    labels = followup_predict(state, c)
+    for x_t, cen, k, c_t, t, label in zip(x, centroid, k_src, c, k_tgt, labels):
+        assert k == embed(state, x_t)[2] == _first_best(cen, table[:3])
+        assert t == decide(state, c_t, k)[0] == _first_best(c_t, table[:3])
+        best = _first_best(c_t, table)
+        assert label == followup_predict(state, c_t) == (UNKNOWN if best == 3 else best)
+    for c_t in c:  # each update moves a follow-up prototype, never the head
+        assert update_memory_bank(state, c_t) == _first_best(c_t, table)
