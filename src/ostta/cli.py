@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -36,17 +37,9 @@ from .data import (
 )
 from .losses import OBJECTIVES, LossConfig
 from .metrics import LabelError, decision_grid, evaluate, save_grid
-from .model import ModelParams, forward, init_model, load_checkpoint, save_checkpoint
+from .model import ModelParams, forward_rows, init_model, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, extract_bank, load_bank, save_bank, train_many
-from .tur import (
-    Prediction,
-    TurConfig,
-    block_rows,
-    init_tur,
-    predict_frozen,
-    run_stream,
-    save_snapshot,
-)
+from .tur import Prediction, TurConfig, init_tur, predict_frozen, run_stream, save_snapshot
 
 # an arm trains the objective of its name; art takes ugd's model and adds the engine
 ARMS = (*OBJECTIVES, "art")
@@ -129,21 +122,10 @@ def _checkpoint_hash(cfg: ExperimentConfig, objective: str) -> str:
 
 
 def _argmax_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The classifier's own label per point of x, a matrix of rows or a
-    stack of them; the last head row is UNKNOWN."""
-    k = np.argmax(forward(params, x).logits, axis=-1)
+    """The classifier's own label per row of x, each from its row's own 1-D
+    forward bits (`forward_rows`); the last head row is UNKNOWN."""
+    k = np.argmax(forward_rows(params, x)[1], axis=-1)
     return np.where(k == params.num_known, UNKNOWN, k)
-
-
-def _model_grid(params: ModelParams, bbox, resolution: int):
-    """The classifier's decision grid. A block of lattice rows goes through
-    one forward as a stack of one-row matrices, so every row gets the bits
-    of its own call; one matrix of all the block's points would not. The
-    block's forward trace (input, every layer, z and logits) fits the
-    engine's block budget."""
-    width = params.input_dim + sum(map(len, params.weights)) + params.embed_dim + len(params.head)
-    return decision_grid(lambda pts: _argmax_labels(params, pts), bbox, resolution,
-                         block_rows(width))
 
 
 def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
@@ -231,12 +213,10 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
             reports[(arm, seed)] = report
 
         if cfg.blob.dim == 2:
-            if arm == "art":
-                grid = decision_grid(lambda pts: predict_frozen(grid_state, pts.reshape(-1, 2)),
-                                     bbox, cfg.grid_resolution, block_rows(len(bank)))
-            else:
-                grid = _model_grid(params, bbox, cfg.grid_resolution)
-            save_grid(grid, os.path.join(outdir, f"grid_{arm}.csv"))
+            predict = (partial(predict_frozen, grid_state) if arm == "art"
+                       else partial(_argmax_labels, params))
+            save_grid(decision_grid(predict, bbox, cfg.grid_resolution),
+                      os.path.join(outdir, f"grid_{arm}.csv"))
     return reports
 
 
@@ -338,7 +318,7 @@ def _cmd_grid(args) -> int:
         raise ValueError(f"{args.checkpoint}: the model takes {params.input_dim} inputs, "
                          "and the grid is a 2-D lattice of (x, y) points")
     bbox = ((args.xmin, args.xmax), (args.ymin, args.ymax))
-    grid = _model_grid(params, bbox, args.resolution)
+    grid = decision_grid(partial(_argmax_labels, params), bbox, args.resolution)
     save_grid(grid, args.grid_out)
     print(f"wrote {len(grid)} grid points to {args.grid_out}")
     return 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 import typing
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
@@ -178,8 +179,8 @@ def from_json(cls, payload, path: str):
 
 def _typed(value, hint, path: str):
     """value checked against a field's type hint: a dataclass is built by
-    `from_json`, and a JSON list becomes a tuple. An int passes as a float;
-    a bool passes only as a bool."""
+    `from_json`, and a JSON list becomes a tuple. An int passes as a float,
+    as given, if a float can hold it; a bool passes only as a bool."""
     if is_dataclass(hint):
         return from_json(hint, value, path)
     if typing.get_origin(hint) is tuple:
@@ -193,6 +194,8 @@ def _typed(value, hint, path: str):
         return tuple(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kinds)))
     if hint is float:
         ok = type(value) in (int, float)
+        if type(value) is int and abs(value) > sys.float_info.max:
+            raise ValueError(f"{path} must be a float, got an int too large for one")
     else:
         ok = type(value) is hint
     if not ok:

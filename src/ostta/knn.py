@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import l2_norm, l2_normalize
+from .numeric import block_rows, l2_norm, l2_normalize
 from .trainer import EmbeddingBank
 
 
@@ -18,7 +18,7 @@ from .trainer import EmbeddingBank
 class KnnIndex:
     bank: EmbeddingBank
     columns: np.ndarray  # (d, n), C-contiguous: the bank's embeddings, one per column
-    k: int = 10
+    k: int
 
 
 @dataclass
@@ -27,7 +27,7 @@ class Neighborhood:
     centroid: np.ndarray  # (d,) or (n, d), unit-norm mean of the neighbors
 
 
-def build_index(bank: EmbeddingBank, k: int = 10) -> KnnIndex:
+def build_index(bank: EmbeddingBank, k: int) -> KnnIndex:
     if len(bank) == 0:
         raise ValueError("empty bank")
     if not 1 <= k <= len(bank):
@@ -62,8 +62,19 @@ def query(index: KnnIndex, z: np.ndarray) -> Neighborhood:
     """Neighborhood of a unit 1-D z, or of each unit row of an (n, d) matrix.
     Each row's similarities are a one-row product of their own with the
     index's column-major bank, so a row gets exactly the bits of its 1-D
-    call, whatever rows share the matrix, and whatever the layout of the bank."""
+    call, whatever rows share the matrix, and whatever the layout of the bank.
+    A matrix is answered in blocks of `block_rows(len(bank))` rows."""
     z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 1:
+        return _neighborhood(index, z)
+    rows = block_rows(len(index.bank))
+    blocks = [_neighborhood(index, z[i : i + rows]) for i in range(0, len(z), rows)]
+    return Neighborhood(np.concatenate([b.indices for b in blocks]),
+                        np.concatenate([b.centroid for b in blocks]))
+
+
+def _neighborhood(index: KnnIndex, z: np.ndarray) -> Neighborhood:
+    """`query` of a 1-D z or of one block of rows."""
     off = abs(l2_norm(z) - 1.0)  # per row, its 1-D call's bits; raises on a zero or non-finite row
     if not (off <= 1e-6 if z.ndim == 1 else (off <= 1e-6).all()):
         raise ValueError("query vector must be unit-norm")

@@ -115,22 +115,17 @@ def decision_grid(
     predict_fn,
     bbox: tuple[tuple[float, float], tuple[float, float]],
     resolution: int,
-    block: int,
 ) -> Grid:
     """Label a regular resolution x resolution lattice over a 2-D box.
-    predict_fn maps a (b, resolution, 2) block of whole lattice rows to
-    their b * resolution labels. A block holds at most `block` points, and
-    at least one row, which bounds the memory a batched model pass takes."""
+    predict_fn maps the (resolution**2, 2) matrix of lattice points, row-major
+    and y outer, to their labels, in one call."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     (xmin, xmax), (ymin, ymax) = bbox
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    points = np.stack(np.meshgrid(xs, ys), axis=-1)  # points[i, j] = (xs[j], ys[i])
-    rows = max(1, block // resolution)
-    labels = [np.reshape(predict_fn(points[i : i + rows]), (-1, resolution))
-              for i in range(0, resolution, rows)]
-    return Grid(xs, ys, np.concatenate(labels))
+    points = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)  # (xs[j], ys[i]) at i * res + j
+    return Grid(xs, ys, np.reshape(predict_fn(points), (resolution, resolution)))
 
 
 def save_grid(grid: Grid, path: str) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import atomic_open
-from .numeric import l2_norm
+from .numeric import block_rows, l2_norm
 
 _CKPT_MAGIC = "ostta-ckpt-v1"
 _ACTIVATIONS = ("tanh", "linear")
@@ -147,6 +147,22 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
         acts.append(a)
     norm = l2_norm(a)  # raises on a bad row before the head product can overflow
     return ForwardTrace(x, acts, a, norm, a @ params.head.swapaxes(-1, -2))
+
+
+def forward_rows(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit embeddings and logits of the rows of an (n, input_dim) x for
+    unstacked params, as stacks of one-row products, so every row gets
+    exactly the bits of its own 1-D `forward`, whatever rows share the call.
+    A block's forward trace (input, every layer, z and logits) fits
+    `block_rows`."""
+    width = params.input_dim + sum(map(len, params.weights)) + params.embed_dim + len(params.head)
+    rows = block_rows(width)
+    z, logits = np.empty((len(x), params.embed_dim)), np.empty((len(x), len(params.head)))
+    for i in range(0, len(x), rows):
+        trace = forward(params, x[i : i + rows, None, :])
+        z[i : i + rows], logits[i : i + rows] = trace.z[:, 0], trace.logits[:, 0]
+        del trace  # else two blocks' activations are live during the next forward
+    return z, logits
 
 
 def backward(params: ModelParams, trace: ForwardTrace, dlogits: np.ndarray,

@@ -9,6 +9,17 @@ import math
 
 import numpy as np
 
+# Floats one block of rows holds, its rows times the bank's rows (a KNN
+# query's similarities) or times the floats of one row's forward trace (a
+# `forward_rows` block): 1 MB of float64 however many rows a call is given.
+_BLOCK_BUDGET = 1 << 17
+
+
+def block_rows(width: int) -> int:
+    """Rows of a block whose rows each hold `width` float64 values, so that
+    the block holds at most _BLOCK_BUDGET of them; at least one row."""
+    return max(1, _BLOCK_BUDGET // width)
+
 
 def l2_norm(v: np.ndarray) -> float | np.ndarray:
     """Euclidean norm of v, or of each row as a (..., 1) column; raises on a

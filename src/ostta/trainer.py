@@ -8,12 +8,8 @@ import numpy as np
 
 from .data import Sample, read_labelled_csv, write_labelled_csv
 from .losses import LossConfig, LossWeights, check_labels, loss
-from .model import ModelParams, backward, forward
+from .model import ModelParams, backward, forward, forward_rows
 from .numeric import l2_normalize
-
-# Rows per forward call in extract_bank: one matrix over a large bank would
-# hold every layer's activations at once.
-_BANK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -143,14 +139,11 @@ def _stack(train_set: list[Sample], params: ModelParams) -> tuple[np.ndarray, np
 
 
 def extract_bank(params: ModelParams, train_set: list[Sample]) -> EmbeddingBank:
-    """One normalized embedding per training sample (input order) plus
-    renormalized per-class mean prototypes."""
+    """One normalized embedding per training sample (input order), each with
+    the bits of its own 1-D forward, plus renormalized per-class mean
+    prototypes."""
     features, labels = _stack(train_set, params)
-    embeddings = np.concatenate([
-        forward(params, features[i : i + _BANK_BLOCK]).z
-        for i in range(0, len(features), _BANK_BLOCK)
-    ])
-    return EmbeddingBank.from_rows(embeddings, labels, params.num_known)
+    return EmbeddingBank.from_rows(forward_rows(params, features)[0], labels, params.num_known)
 
 
 def save_bank(bank: EmbeddingBank, path: str) -> None:

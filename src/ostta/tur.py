@@ -5,8 +5,8 @@ follow-up prototypes starting at the classifier head rows.
 
 The engine never updates model parameters and never compares a score
 against a fixed cutoff. A step has a state-free half, `embed`, which
-depends only on the frozen model and bank and so runs a block of the
-stream at a time, and a stateful half, `step`, through which the state
+depends only on the frozen model and bank and so runs over the whole
+stream in one call, and a stateful half, `step`, through which the state
 evolves strictly one sample at a time.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import UNKNOWN, atomic_open, from_json, text_lines
 from .knn import KnnIndex, build_index, query
-from .model import ModelParams, forward
+from .model import ModelParams, forward, forward_rows
 from .numeric import l2_normalize
 from .trainer import EmbeddingBank
 
@@ -34,10 +34,6 @@ logger = logging.getLogger(__name__)
 # later formats hash them in checkpoint order; format 4 kept the running sums
 # and counts of a running-mean follow-up memory
 SNAPSHOT_FORMAT = 5
-# Floats one block holds, its rows times the bank's rows (an `embed` call of
-# `run_stream`, an engine grid block) or times the floats of one row's forward
-# trace (a model grid block): 1 MB of float64 however large the bank.
-_BLOCK_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -133,13 +129,10 @@ def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """The state-free half of a step: the unit embeddings of the rows of x
     (a 1-D x is one sample), their source-neighborhood centroids and the
     centroids' best source prototypes. A matrix is embedded as a stack of
-    one-row products and matched per (row, prototype) pair, so every row
-    gets exactly the bits of its own 1-D call."""
+    one-row products (`forward_rows`) and matched per (row, prototype) pair,
+    so every row gets exactly the bits of its own 1-D call."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        z = forward(state.params, x).z
-    else:
-        z = forward(state.params, x[:, None, :]).z[:, 0]
+    z = forward(state.params, x).z if x.ndim == 1 else forward_rows(state.params, x)[0]
     centroid = query(state.index, z).centroid
     return z, centroid, np.vecdot(centroid[..., None, :], state.source_prototypes).argmax(-1)
 
@@ -169,26 +162,14 @@ def predict_frozen(state: TurState, x: np.ndarray) -> np.ndarray:
     return np.where(agreed, k_src, followup_predict(state, z))[()]  # one point: a scalar
 
 
-def block_rows(width: int) -> int:
-    """Rows of a block whose rows each hold `width` float64 values, so that
-    the block holds at most _BLOCK_BUDGET of them; at least one row."""
-    return max(1, _BLOCK_BUDGET // width)
-
-
 def run_stream(state: TurState, stream) -> list[Prediction]:
-    """Sequentially adapt over an ordered sequence of Samples: `embed` a
-    block of the stream at a time, then `step` through its rows in order. A
-    one-sample block is embedded as a 1-D sample, the cheaper call."""
-    preds: list[Prediction] = []
-    rows = block_rows(len(state.index.bank))
-    for start in range(0, len(stream), rows):
-        block = stream[start : start + rows]
-        if len(block) == 1:
-            preds.append(step(state, *embed(state, block[0].features)))
-            continue
-        z, centroid, k_src = embed(state, np.stack([s.features for s in block]))
-        preds += [step(state, *row) for row in zip(z, centroid, k_src)]
-    return preds
+    """Sequentially adapt over an ordered sequence of Samples: `embed` the
+    whole stream, then `step` through its rows in order. A one-sample stream
+    is embedded as a 1-D sample, the cheaper call."""
+    if len(stream) <= 1:
+        return [step(state, *embed(state, s.features)) for s in stream]
+    z, centroid, k_src = embed(state, np.stack([s.features for s in stream]))
+    return [step(state, *row) for row in zip(z, centroid, k_src)]
 
 
 def _fingerprint(params: ModelParams) -> str:

@@ -10,15 +10,19 @@ runs each slice through the same products as the model alone, so stacked
 forward, backward and lockstep training must equal the one-model calls
 bit for bit.
 """
+from functools import partial
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ostta import numeric
 from ostta.cli import _argmax_labels
 from ostta.data import UNKNOWN, BlobSpec, generate_blobs
 from ostta.losses import OBJECTIVES, LossConfig, ce_loss, sce_loss, ua_loss, ugd_loss
 from ostta.metrics import decision_grid
-from ostta.model import ModelParams, backward, forward, init_model
+from ostta.model import ModelParams, backward, forward, forward_rows, init_model
 from ostta.trainer import TrainConfig, train, train_many
 
 RTOL = 1e-12
@@ -97,19 +101,36 @@ def test_backward_equals_sum_of_one_row_backwards(seed, n, hidden):
 
 
 @props
-@given(seed=seeds, resolution=st.integers(2, 12), hidden=hiddens, block=st.integers(1, 150))
-def test_model_grid_equals_per_point_argmax(seed, resolution, hidden, block):
-    # any block of lattice rows, from one row to the whole lattice
+@given(seed=seeds, resolution=st.integers(2, 12), hidden=hiddens, budget=st.integers(1, 30000))
+def test_model_grid_equals_per_point_argmax(seed, resolution, hidden, budget):
+    # any block budget, from one point per forward block to the whole lattice
     rng = np.random.default_rng(seed)
     params = init_model(2, 4, 3, seed, hidden=hidden)
     lo = rng.uniform(-10, 0, size=2)
     bbox = ((lo[0], lo[0] + rng.uniform(0.1, 20)), (lo[1], lo[1] + rng.uniform(0.1, 20)))
-    grid = decision_grid(lambda pts: _argmax_labels(params, pts), bbox, resolution, block)
+    with mock.patch.object(numeric, "_BLOCK_BUDGET", budget):
+        grid = decision_grid(partial(_argmax_labels, params), bbox, resolution)
     assert len(grid) == resolution**2 and grid.labels.shape == (resolution, resolution)
     for i, y in enumerate(grid.ys):
         for j, x in enumerate(grid.xs):
             k = int(np.argmax(forward(params, np.array([x, y])).logits))
             assert grid.labels[i, j] == (UNKNOWN if k == params.num_known else k)
+
+
+@props
+@given(seed=seeds, n=st.integers(0, 60), hidden=hiddens, budget=st.integers(1, 20000),
+       scale=st.floats(0.01, 50.0))
+def test_forward_rows_equal_one_row_forwards_bit_for_bit(seed, n, hidden, budget, scale):
+    # whatever the block budget, from one row per block to all rows in one
+    params, rng = _model(seed, hidden)
+    x = rng.normal(size=(n, params.input_dim)) * scale
+    with mock.patch.object(numeric, "_BLOCK_BUDGET", budget):
+        z, logits = forward_rows(params, x)
+    assert z.shape == (n, params.embed_dim) and logits.shape == (n, params.num_known + 1)
+    for x_t, z_t, logits_t in zip(x, z, logits):
+        one = forward(params, x_t)
+        assert z_t.tobytes() == one.z.tobytes()
+        assert logits_t.tobytes() == one.logits.tobytes()
 
 
 @props

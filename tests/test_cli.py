@@ -334,6 +334,22 @@ def test_cli_names_the_key_of_a_non_finite_or_negative_value(tmp_path, capsys, c
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("gen-data", {"shift": {"rotation_angle": 10**400}}, "config.shift.rotation_angle"),
+    ("run", {"grid_margin": 10**400}, "config.grid_margin"),
+    ("run", {"train": {"learning_rate": 10**400}}, "config.train.learning_rate"),
+])
+def test_cli_names_the_key_of_an_int_too_large_for_a_float(tmp_path, capsys, command, payload, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))  # a JSON int of 401 digits
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == f"{key} must be a float, got an int too large for one"
+    assert not outdir.exists()
+
+
 def test_cli_names_a_config_that_is_cut(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"train": {"epochs": 5}})[:18])

@@ -156,8 +156,9 @@ def test_block_query_equals_one_row_queries_on_a_large_bank():
     labels = np.repeat(np.arange(3), 2000)  # a class-sorted bank, as extract_bank builds it
     bank = _bank_from(rng.normal(size=(6000, 8)) + 3.0 * np.eye(8)[labels], labels)
     index = build_index(bank, k=10)
-    z = l2_normalize(rng.normal(size=(21, 8)))
+    z = l2_normalize(rng.normal(size=(50, 8)))  # blocks of 21, 21 and 8 rows
     block = query(index, z)
+    assert block.indices.shape == (50, 10) and block.centroid.shape == (50, 8)
     for row, ids, centroid in zip(z, block.indices, block.centroid):
         one = query(index, row)
         assert np.array_equal(one.indices, ids)

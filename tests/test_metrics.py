@@ -175,7 +175,7 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_decision_grid_layout():
-    grid = decision_grid(lambda pts: (pts[..., 0] >= 0).astype(int), ((-1, 1), (-2, 2)), 3, 3)
+    grid = decision_grid(lambda pts: (pts[..., 0] >= 0).astype(int), ((-1, 1), (-2, 2)), 3)
     assert len(grid) == 9
     # row-major: y varies slowest
     assert (grid.xs[0], grid.ys[0]) == (-1.0, -2.0)
@@ -184,27 +184,26 @@ def test_decision_grid_layout():
     assert grid.labels[0, 0] == 0 and grid.labels[0, 2] == 1
 
 
-@pytest.mark.parametrize("block", [1, 3, 5, 9, 100])
-def test_decision_grid_predicts_blocks_of_whole_rows(block):
-    blocks = []
+@pytest.mark.parametrize("resolution", [2, 3, 7])
+def test_decision_grid_predicts_the_whole_lattice_in_one_call(resolution):
+    calls = []
 
     def predict(pts):
-        blocks.append(pts.copy())
-        return (pts[..., 0] >= 0).astype(int)
+        calls.append(pts.copy())
+        return (pts[:, 0] >= 0).astype(int)
 
-    grid = decision_grid(predict, ((-1, 1), (-2, 2)), 3, block)
-    assert grid.labels.tolist() == [[0, 1, 1]] * 3
-    # as many whole lattice rows as fit the block, and at least one
-    rows = max(1, block // 3)
-    assert [b.shape for b in blocks] == [(min(rows, 3 - i), 3, 2) for i in range(0, 3, rows)]
-    lattice = np.concatenate(blocks)
-    assert np.array_equal(lattice[..., 0], np.tile(grid.xs, (3, 1)))
-    assert np.array_equal(lattice[..., 1], np.tile(grid.ys[:, None], (1, 3)))
+    grid = decision_grid(predict, ((-1, 1), (-2, 2)), resolution)
+    (lattice,) = calls  # one call, with every point
+    assert lattice.shape == (resolution**2, 2)
+    # row-major, y outer: point i * resolution + j is (xs[j], ys[i])
+    assert np.array_equal(lattice[:, 0], np.tile(grid.xs, resolution))
+    assert np.array_equal(lattice[:, 1], np.repeat(grid.ys, resolution))
+    assert grid.labels.tolist() == [(grid.xs >= 0).astype(int).tolist()] * resolution
 
 
 def test_decision_grid_resolution_check():
     with pytest.raises(ValueError):
-        decision_grid(lambda p: 0, ((-1, 1), (-1, 1)), 1, 100)
+        decision_grid(lambda p: 0, ((-1, 1), (-1, 1)), 1)
 
 
 def test_save_grid_unknown_token(tmp_path):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ostta import numeric
 from ostta.data import BlobSpec, Sample, generate_blobs
 from ostta.losses import OBJECTIVES, LossConfig
 from ostta.model import forward, init_model
@@ -260,13 +262,15 @@ def test_extract_bank_properties():
     )
 
 
-def test_extract_bank_spans_blocks_in_input_order():
+@pytest.mark.parametrize("budget", [1000, 1 << 17])  # blocks of 45 rows, or one block
+def test_extract_bank_spans_blocks_in_input_order(budget):
     train_set, _ = generate_blobs(BlobSpec(seed=2, samples_per_cluster=200))
     params = init_model(2, 4, 3, 0, hidden=(8,))
-    bank = extract_bank(params, train_set)
+    with mock.patch.object(numeric, "_BLOCK_BUDGET", budget):
+        bank = extract_bank(params, train_set)
     assert bank.embeddings.shape == (600, 4)
     one_by_one = np.stack([forward(params, s.features).z for s in train_set])
-    np.testing.assert_allclose(bank.embeddings, one_by_one, rtol=0, atol=1e-12)
+    assert bank.embeddings.tobytes() == one_by_one.tobytes()  # each row its 1-D forward's bits
     assert bank.labels.tolist() == [s.label for s in train_set]
 
 

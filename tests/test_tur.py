@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostta import tur
+from ostta import numeric
 from ostta.cli import ExperimentConfig
 from ostta.data import UNKNOWN, BlobSpec, Sample, apply_shift, generate_blobs, make_stream
 from ostta.model import ModelParams, init_model
@@ -491,7 +491,7 @@ def test_any_cut_and_block_size_equal_one_sample_steps(rows, cuts):
     cut = init_tur(bank, params, config)
     got = []
     bounds = [0, *sorted(set(cuts)), len(stream)]
-    with mock.patch.object(tur, "_BLOCK_BUDGET", rows * len(bank)):  # blocks of `rows` rows
+    with mock.patch.object(numeric, "_BLOCK_BUDGET", rows * len(bank)):  # KNN blocks of `rows` rows
         for start, stop in zip(bounds, bounds[1:]):
             got += run_stream(cut, stream[start:stop])
     assert got == want
