@@ -33,13 +33,23 @@ from .data import (
     load_csv,
     make_stream,
     save_csv,
+    stream_order,
     text_lines,
 )
 from .losses import OBJECTIVES, LossConfig
-from .metrics import LabelError, decision_grid, evaluate, save_grid
+from .metrics import LabelError, decision_grid, evaluate, lattice, save_grid
 from .model import ModelParams, forward_rows, init_model, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, extract_bank, load_bank, save_bank, train_many
-from .tur import Prediction, TurConfig, init_tur, predict_frozen, run_stream, save_snapshot
+from .tur import (
+    Prediction,
+    TurConfig,
+    init_tur,
+    match,
+    predict_frozen,
+    run_stream,
+    save_snapshot,
+    step,
+)
 
 # an arm trains the objective of its name; art takes ugd's model and adds the engine
 ARMS = (*OBJECTIVES, "art")
@@ -121,11 +131,20 @@ def _checkpoint_hash(cfg: ExperimentConfig, objective: str) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _objective(arm: str) -> str:
+    return "ugd" if arm == "art" else arm
+
+
+def _head_labels(logits: np.ndarray, num_known: int) -> np.ndarray:
+    """The classifier's own label per row of logits; the last head row is UNKNOWN."""
+    k = np.argmax(logits, axis=-1)
+    return np.where(k == num_known, UNKNOWN, k)
+
+
 def _argmax_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The classifier's own label per row of x, each from its row's own 1-D
-    forward bits (`forward_rows`); the last head row is UNKNOWN."""
-    k = np.argmax(forward_rows(params, x)[1], axis=-1)
-    return np.where(k == params.num_known, UNKNOWN, k)
+    forward bits (`forward_rows`)."""
+    return _head_labels(forward_rows(params, x)[1], params.num_known)
 
 
 def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
@@ -133,7 +152,7 @@ def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
     bank is missing from outdir is trained in one lockstep `train_many` call
     and then cached; the others load from the cache. Nothing is written
     unless every missing objective trains."""
-    objectives = {arm: "ugd" if arm == "art" else arm for arm in arms}
+    objectives = {arm: _objective(arm) for arm in arms}
     keys = {arm: _checkpoint_hash(cfg, objective) for arm, objective in objectives.items()}
     ckpts = {key: os.path.join(outdir, f"model_{key}.ckpt") for key in keys.values()}
     banks = {key: os.path.join(outdir, f"bank_{key}.csv") for key in keys.values()}
@@ -181,7 +200,13 @@ def _write_steps(path: str, truths: list[int], preds: list) -> None:
 
 def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> dict:
     """Run every requested arm over every stream order; returns a mapping
-    (arm, seed) -> EvalReport. Fully deterministic given the config."""
+    (arm, seed) -> EvalReport. Fully deterministic given the config.
+
+    Each stream is an order of the same shifted test rows, and nothing but
+    art's prototypes changes along a stream. So each distinct checkpoint
+    embeds the test rows, then the lattice rows, in one `forward_rows` call,
+    art matches them against its bank in one pass, and each stream order
+    indexes those rows: every row has the bits of its own 1-D call anyway."""
     cfg.validate()
     if os.path.isdir(outdir) and os.listdir(outdir) and not force:
         raise FileExistsError(f"output dir {outdir!r} is not empty (use --force)")
@@ -189,33 +214,46 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
 
     train_set, test_set = generate_blobs(cfg.blob)
     shifted_test = apply_shift(test_set, cfg.shift)
-    streams = {seed: make_stream(shifted_test, seed) for seed in cfg.stream_seeds}
-    bbox = _grid_bbox(train_set + shifted_test, cfg.grid_margin)
+    truths = np.array([s.label for s in shifted_test])
+    orders = {seed: stream_order(len(shifted_test), seed) for seed in cfg.stream_seeds}
+    rows = np.stack([s.features for s in shifted_test])
+    grid = slice(len(rows), None)  # the lattice rows, after the test rows
+    if cfg.blob.dim == 2:
+        bbox = _grid_bbox(train_set + shifted_test, cfg.grid_margin)
+        rows = np.concatenate([rows, lattice(bbox, cfg.grid_resolution)[2]])
     reports: dict[tuple[str, int], object] = {}
 
     models = _train_cached(cfg, cfg.arms, train_set, outdir)
+    checkpoints = {_objective(arm): models[arm][0] for arm in cfg.arms}  # art shares ugd's
+    forwards = {objective: forward_rows(params, rows) for objective, params in checkpoints.items()}
     for arm in cfg.arms:
         params, bank = models[arm]
+        z, logits = forwards[_objective(arm)]
+        if arm == "art":
+            z, centroid, k_src = match(init_tur(bank, params, cfg.tur), z)
+        else:
+            labels = _head_labels(logits, params.num_known)
         grid_state = None
-        for seed, stream in streams.items():
-            truths = [s.label for s in stream]
+        for seed, order in orders.items():
+            truth = truths[order].tolist()
             if arm == "art":
                 state = init_tur(bank, params, cfg.tur)
-                predictions = run_stream(state, stream)
+                predictions = [step(state, *row) for row in zip(z[order], centroid[order], k_src[order])]
                 preds = [p.label for p in predictions]
                 grid_state = grid_state or state  # the state after the first stream
             else:
-                preds = predictions = _argmax_labels(
-                    params, np.stack([s.features for s in stream])).tolist()
-            report = evaluate(preds, truths, cfg.blob.num_known)
+                preds = predictions = labels[order].tolist()
+            report = evaluate(preds, truth, cfg.blob.num_known)
             report.to_json(os.path.join(outdir, f"report_{arm}_{seed}.json"))
-            _write_steps(os.path.join(outdir, f"steps_{arm}_{seed}.ndjson"), truths, predictions)
+            _write_steps(os.path.join(outdir, f"steps_{arm}_{seed}.ndjson"), truth, predictions)
             reports[(arm, seed)] = report
 
         if cfg.blob.dim == 2:
-            predict = (partial(predict_frozen, grid_state) if arm == "art"
-                       else partial(_argmax_labels, params))
-            save_grid(decision_grid(predict, bbox, cfg.grid_resolution),
+            def label_lattice(points):  # decision_grid's lattice: rows[grid], embedded above
+                if arm == "art":
+                    return predict_frozen(grid_state, z[grid], centroid[grid], k_src[grid])
+                return labels[grid]
+            save_grid(decision_grid(label_lattice, bbox, cfg.grid_resolution),
                       os.path.join(outdir, f"grid_{arm}.csv"))
     return reports
 

@@ -137,13 +137,16 @@ def apply_shift(dataset: list[Sample], shift: ShiftSpec) -> list[Sample]:
     return out
 
 
+def stream_order(n: int, order_seed: int) -> np.ndarray:
+    """The indices of n samples in the stream order of a seed: a permutation."""
+    return np.random.default_rng(order_seed).permutation(n)
+
+
 def make_stream(dataset: list[Sample], order_seed: int) -> list[Sample]:
     """Deterministic permutation of the dataset; each element appears once."""
     if not dataset:
         raise ValueError("dataset is empty")
-    rng = np.random.default_rng(order_seed)
-    order = rng.permutation(len(dataset))
-    return [dataset[i] for i in order]
+    return [dataset[i] for i in stream_order(len(dataset), order_seed)]
 
 
 @contextmanager

@@ -48,13 +48,15 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     maxima = sims[..., :m * s].reshape(sims.shape[:-1] + (s, m)).max(axis=-2)
     maxima.partition(m - k)  # in place, along the last axis
     bound = maxima[..., m - k]
-    if sims.ndim == 1:  # one row: 9 numpy calls where a block needs 16
+    if sims.ndim == 1:  # one row: 9 numpy calls where a block needs 18
         cand = (sims >= bound).nonzero()[0]
         return cand[(-sims[cand]).argsort(kind="stable")[:k]]
     flat = np.flatnonzero(sims >= bound[:, None])  # row order, then position order
     rows, pos = np.divmod(flat, width)
-    order = np.lexsort((-sims.ravel()[flat], rows))  # stable: ties keep position order
-    first = np.searchsorted(rows, np.arange(len(sims)))  # rows stays sorted under the lexsort
+    key = rows + 0j  # sorted by row, then by -similarity; stable: ties keep position order
+    key.imag = -sims.ravel()[flat]
+    order = key.argsort(kind="stable")
+    first = np.searchsorted(rows, np.arange(len(sims)))  # rows stays sorted under the sort
     return pos[order[first[:, None] + np.arange(k)]]
 
 
@@ -63,12 +65,13 @@ def query(index: KnnIndex, z: np.ndarray) -> Neighborhood:
     Each row's similarities are a one-row product of their own with the
     index's column-major bank, so a row gets exactly the bits of its 1-D
     call, whatever rows share the matrix, and whatever the layout of the bank.
-    A matrix is answered in blocks of `block_rows(len(bank))` rows."""
+    A matrix is answered in blocks of `block_rows(len(bank))` rows; a matrix
+    of no rows is one empty block, answered with no rows."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         return _neighborhood(index, z)
     rows = block_rows(len(index.bank))
-    blocks = [_neighborhood(index, z[i : i + rows]) for i in range(0, len(z), rows)]
+    blocks = [_neighborhood(index, z[i : i + rows]) for i in range(0, len(z) or 1, rows)]
     return Neighborhood(np.concatenate([b.indices for b in blocks]),
                         np.concatenate([b.centroid for b in blocks]))
 

@@ -111,20 +111,25 @@ class Grid:
         return self.labels.size
 
 
-def decision_grid(
-    predict_fn,
-    bbox: tuple[tuple[float, float], tuple[float, float]],
-    resolution: int,
-) -> Grid:
-    """Label a regular resolution x resolution lattice over a 2-D box.
-    predict_fn maps the (resolution**2, 2) matrix of lattice points, row-major
-    and y outer, to their labels, in one call."""
+def lattice(bbox: tuple[tuple[float, float], tuple[float, float]], resolution: int):
+    """xs and ys of a regular resolution x resolution lattice over a 2-D box,
+    and the (resolution**2, 2) matrix of its points, row-major and y outer."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     (xmin, xmax), (ymin, ymax) = bbox
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    points = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)  # (xs[j], ys[i]) at i * res + j
+    return xs, ys, np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)  # (xs[j], ys[i]) at i * res + j
+
+
+def decision_grid(
+    predict_fn,
+    bbox: tuple[tuple[float, float], tuple[float, float]],
+    resolution: int,
+) -> Grid:
+    """Label the `lattice` of a 2-D box: predict_fn maps the matrix of its
+    points to their labels, in one call."""
+    xs, ys, points = lattice(bbox, resolution)
     return Grid(xs, ys, np.reshape(predict_fn(points), (resolution, resolution)))
 
 

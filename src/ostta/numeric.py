@@ -23,14 +23,14 @@ def block_rows(width: int) -> int:
 
 def l2_norm(v: np.ndarray) -> float | np.ndarray:
     """Euclidean norm of v, or of each row as a (..., 1) column; raises on a
-    zero or non-finite vector. Every norm is a BLAS dot product, so each row
+    zero or non-finite vector. Each row's norm is its own dot product, so it
     gets exactly the bits of its own 1-D call, whatever rows surround it."""
     if v.ndim == 1:
         norm = math.sqrt(np.vdot(v, v))  # np.linalg.norm's bits; overflow is a quiet inf
         ok = 0.0 < norm < math.inf
     else:
         with np.errstate(over="ignore"):  # an overflowed square is rejected below
-            norm = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+            norm = np.sqrt(np.vecdot(v, v))[..., None]
         ok = ((norm > 0.0) & (norm < np.inf)).all()
     if not ok:
         raise ValueError("cannot normalize a zero or non-finite vector")

@@ -133,6 +133,13 @@ def embed(state: TurState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     so every row gets exactly the bits of its own 1-D call."""
     x = np.asarray(x, dtype=np.float64)
     z = forward(state.params, x).z if x.ndim == 1 else forward_rows(state.params, x)[0]
+    return match(state, z)
+
+
+def match(state: TurState, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`embed` from the unit embeddings z the model already gave: z, the
+    source-neighborhood centroids of its rows and their best source
+    prototypes, each row with the bits of its own 1-D call."""
     centroid = query(state.index, z).centroid
     return z, centroid, np.vecdot(centroid[..., None, :], state.source_prototypes).argmax(-1)
 
@@ -154,10 +161,9 @@ def step(state: TurState, z_t: np.ndarray, centroid: np.ndarray, k_src) -> Predi
     return pred
 
 
-def predict_frozen(state: TurState, x: np.ndarray) -> np.ndarray:
-    """Label the rows of x (a 1-D x is one point) as `step` would, without
-    changing the state; used for decision-grid export after a stream."""
-    z, centroid, k_src = embed(state, x)
+def predict_frozen(state: TurState, z: np.ndarray, centroid: np.ndarray, k_src) -> np.ndarray:
+    """Label rows embedded by `embed` (a 1-D z is one point) as `step` would,
+    without changing the state; used for decision-grid export after a stream."""
     _, agreed = decide(state, centroid, k_src)
     return np.where(agreed, k_src, followup_predict(state, z))[()]  # one point: a scalar
 

@@ -14,20 +14,23 @@ from ostta.cli import (
     ARMS,
     ExperimentConfig,
     ModelSpec,
+    _argmax_labels,
     _checkpoint_hash,
+    _grid_bbox,
     _train_cached,
     _write_steps,
     config_from_dict,
+    load_config,
     main,
     run_experiment,
 )
 from ostta import data
-from ostta.data import UNKNOWN, BlobSpec, ShiftSpec, generate_blobs
+from ostta.data import UNKNOWN, BlobSpec, ShiftSpec, apply_shift, generate_blobs, make_stream
 from ostta.losses import OBJECTIVES
-from ostta.metrics import Grid, evaluate, save_grid
-from ostta.model import init_model, save_checkpoint
-from ostta.trainer import TrainConfig, extract_bank, save_bank
-from ostta.tur import Prediction, TurConfig
+from ostta.metrics import Grid, decision_grid, evaluate, save_grid
+from ostta.model import init_model, load_checkpoint, save_checkpoint
+from ostta.trainer import TrainConfig, extract_bank, load_bank, save_bank
+from ostta.tur import Prediction, TurConfig, embed, init_tur, predict_frozen, run_stream
 
 
 def _small_config(**overrides):
@@ -156,6 +159,45 @@ def test_run_experiment_artifacts(tmp_path):
     assert len(lines) == 40  # 3 known + 1 unknown cluster, 10 samples each
     rec = json.loads(lines[0])
     assert {"step", "route", "pred", "true"} <= set(rec)
+
+
+def test_run_experiment_equals_a_per_seed_recomputation(tmp_path):
+    # the run embeds the test rows and the lattice once per checkpoint and
+    # matches them once for art; each stream run on its own, through the
+    # public calls, writes the same bytes
+    ref = ExperimentConfig()
+    cfg = dataclasses.replace(
+        ref, blob=dataclasses.replace(ref.blob, samples_per_cluster=30),
+        train=dataclasses.replace(ref.train, epochs=5), grid_resolution=12, stream_seeds=(0, 5, 9))
+    out, want = tmp_path / "out", tmp_path / "want"
+    run_experiment(cfg, str(out))
+    want.mkdir()
+    train_set, test_set = generate_blobs(cfg.blob)
+    shifted = apply_shift(test_set, cfg.shift)
+    bbox = _grid_bbox(train_set + shifted, cfg.grid_margin)
+    models = _train_cached(cfg, cfg.arms, train_set, str(out))  # loads the run's checkpoints
+    for arm in cfg.arms:
+        params, bank = models[arm]
+        first = None
+        for seed in cfg.stream_seeds:
+            stream = make_stream(shifted, seed)
+            truths = [s.label for s in stream]
+            if arm == "art":
+                state = init_tur(bank, params, cfg.tur)
+                preds = run_stream(state, stream)
+                labels = [p.label for p in preds]
+                first = first or state
+            else:
+                labels = preds = _argmax_labels(params, np.stack([s.features for s in stream])).tolist()
+            evaluate(labels, truths, cfg.blob.num_known).to_json(str(want / f"report_{arm}_{seed}.json"))
+            _write_steps(str(want / f"steps_{arm}_{seed}.ndjson"), truths, preds)
+        predict = ((lambda x: predict_frozen(first, *embed(first, x))) if arm == "art"
+                   else lambda x: _argmax_labels(params, x))
+        save_grid(decision_grid(predict, bbox, cfg.grid_resolution), str(want / f"grid_{arm}.csv"))
+    names = sorted(os.listdir(want))
+    assert len(names) == len(cfg.arms) * (2 * len(cfg.stream_seeds) + 1)
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def test_run_experiment_refuses_nonempty_outdir(tmp_path):
@@ -702,3 +744,39 @@ def test_cli_names_the_steps_path_given_when_its_directory_is_missing(tmp_path, 
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().err)["error"] == (
         f"[Errno 2] No such file or directory: {steps_out!r}")
+
+
+def test_cli_adapt_over_a_6000_row_bank(tmp_path, capsys):
+    # a bank this large answers the stream's KNN queries in blocks of 21 rows,
+    # so the engine's multi-row top-k runs from the CLI
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"blob": {"samples_per_cluster": 2000}, "train": {"epochs": 1}}))
+    data_dir, work, steps = tmp_path / "data", tmp_path / "work", tmp_path / "steps.ndjson"
+    assert main(["gen-data", "--config", str(config), "--outdir", str(data_dir)]) == 0
+    assert main(["train", "--config", str(config), "--arm", "ugd", "--outdir", str(work)]) == 0
+    (ckpt,) = work.glob("model_*.ckpt")
+    bank = work / f"bank_{ckpt.stem[len('model_'):]}.csv"
+    test_csv = data_dir / "test_shifted.csv"
+    assert main(["adapt", "--config", str(config), "--checkpoint", str(ckpt), "--bank", str(bank),
+                 "--test-csv", str(test_csv), "--steps-out", str(steps)]) == 0
+    assert len(load_bank(str(bank))) == 6000
+    records = [json.loads(line) for line in steps.read_text().splitlines()]
+    stream = make_stream(data.load_csv(str(test_csv)), 0)  # adapt's default --stream-seed
+    assert len(records) == len(stream)
+    # an agreed step takes its source match
+    agreed = [r for r in records if r["route"] == "agreed"]
+    assert agreed and all(r["pred"] == r["source_match"] for r in agreed)
+
+    # one-sample calls on a fresh engine repeat the bulk pass's first 200 records
+    def fresh():
+        return init_tur(load_bank(str(bank)), load_checkpoint(str(ckpt)), load_config(str(config)).tur)
+    one = fresh()
+    for i, (record, sample) in enumerate(zip(records[:200], stream)):
+        (p,) = run_stream(one, [sample])
+        assert p == tuple(record[key] for key in ("pred", "route", "source_match", "target_match")), i
+    # one bulk call over those rows leaves the same prototype tables and step count
+    bulk = fresh()
+    run_stream(bulk, stream[:200])
+    for name in ("target_prototypes", "followup_prototypes"):
+        assert getattr(bulk, name).tobytes() == getattr(one, name).tobytes(), name
+    assert bulk.step_count == one.step_count == 200

@@ -139,8 +139,11 @@ def _stable_top_k(sims, k):
        width=st.one_of(st.integers(1, 80), st.integers(81, 7000)), levels=st.integers(1, 6),
        layout=st.sampled_from(["random", "sorted", "strided"]), data=st.data())
 def test_top_k_equals_full_stable_argsort(seed, n, width, levels, layout, data):
-    # few distinct values, so tie groups straddle the k-th place
-    sims = np.random.default_rng(seed).integers(levels, size=(n, width)) / levels - 0.5
+    # few distinct values, so tie groups straddle the k-th place; the zero
+    # group mixes 0.0 and -0.0, which compare equal, so it too is one tie group
+    rng = np.random.default_rng(seed)
+    sims = (rng.integers(levels, size=(n, width)) - levels // 2) / levels
+    sims[(sims == 0.0) & (rng.random(sims.shape) < 0.5)] = -0.0
     k = data.draw(st.one_of(st.sampled_from([1, width]), st.integers(1, width)))
     if layout != "random":  # every row sorted by value, best first
         sims = -np.sort(-sims, axis=1)

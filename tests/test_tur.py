@@ -264,11 +264,20 @@ def test_predict_frozen_does_not_mutate():
     run_stream(state, stream)
     before = _state_bytes(state)
     for s in stream[:20]:
-        label = predict_frozen(state, s.features)
+        label = predict_frozen(state, *embed(state, s.features))
         assert label in {0, 1, 2, UNKNOWN}
-    labels = predict_frozen(state, np.stack([s.features for s in stream]))
+    labels = predict_frozen(state, *embed(state, np.stack([s.features for s in stream])))
     assert set(labels.tolist()) <= {0, 1, 2, UNKNOWN}
     assert _state_bytes(state) == before
+
+
+def test_embed_and_predict_frozen_of_no_rows():
+    # zero rows give zero answers of each row's shape, as forward_rows does
+    params, bank, _ = _trained_model()
+    state = init_tur(bank, params, TurConfig(k=5))
+    z, centroid, k_src = embed(state, np.empty((0, 2)))
+    assert z.shape == centroid.shape == (0, params.embed_dim) and k_src.shape == (0,)
+    assert predict_frozen(state, z, centroid, k_src).shape == (0,)
 
 
 def test_snapshot_round_trip(tmp_path):
@@ -333,9 +342,9 @@ def test_predict_frozen_rows_equal_one_row_calls(start):
     x = np.concatenate([x, np.stack([s.features for s in stream])])
     for stream_part in (stream[:0], stream[:3], stream):
         run_stream(state, stream_part)
-        rows = predict_frozen(state, x)
+        rows = predict_frozen(state, *embed(state, x))
         assert rows.shape == (len(x),)
-        assert rows.tolist() == [int(predict_frozen(state, row)) for row in x]
+        assert rows.tolist() == [int(predict_frozen(state, *embed(state, row))) for row in x]
 
 
 def test_snapshot_size_does_not_grow_with_stream(tmp_path):
@@ -410,7 +419,8 @@ def test_prototypes_stay_unit_and_labels_valid_after_any_stream(seed, n, scale, 
         assert np.abs(np.linalg.norm(protos, axis=1) - 1.0).max() <= 1e-12
     valid = {*range(state.num_known), UNKNOWN}
     assert {p.label for p in preds} <= valid
-    assert set(predict_frozen(state, np.stack([s.features for s in stream])).tolist()) <= valid
+    x = np.stack([s.features for s in stream])
+    assert set(predict_frozen(state, *embed(state, x)).tolist()) <= valid
 
 
 @pytest.mark.parametrize("spoil, match", [
