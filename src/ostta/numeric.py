@@ -12,12 +12,15 @@ import numpy as np
 # Floats one block of rows holds, its rows times the bank's rows (a KNN
 # query's similarities) or times the floats of one row's forward trace (a
 # `forward_rows` block): 1 MB of float64 however many rows a call is given.
+# Also the multiply-adds of one KNN tile product, half OpenBLAS's 2**18
+# cutoff below which a product runs on one thread.
 _BLOCK_BUDGET = 1 << 17
 
 
 def block_rows(width: int) -> int:
-    """Rows of a block whose rows each hold `width` float64 values, so that
-    the block holds at most _BLOCK_BUDGET of them; at least one row."""
+    """Rows of a block whose rows each hold `width` float64 values (or
+    columns of a tile whose columns each cost `width` multiply-adds), so
+    that the block holds at most _BLOCK_BUDGET of them; at least one."""
     return max(1, _BLOCK_BUDGET // width)
 
 

@@ -28,9 +28,10 @@ from ostta import data
 from ostta.data import UNKNOWN, BlobSpec, ShiftSpec, apply_shift, generate_blobs, make_stream
 from ostta.losses import OBJECTIVES
 from ostta.metrics import Grid, decision_grid, evaluate, save_grid
-from ostta.model import init_model, load_checkpoint, save_checkpoint
+from ostta.model import forward, init_model, load_checkpoint, save_checkpoint
 from ostta.trainer import TrainConfig, extract_bank, load_bank, save_bank
-from ostta.tur import Prediction, TurConfig, embed, init_tur, predict_frozen, run_stream
+from ostta.tur import (Prediction, TurConfig, embed, init_tur, load_snapshot, predict_frozen,
+                       run_stream)
 
 
 def _small_config(**overrides):
@@ -168,7 +169,7 @@ def test_run_experiment_equals_a_per_seed_recomputation(tmp_path):
     ref = ExperimentConfig()
     cfg = dataclasses.replace(
         ref, blob=dataclasses.replace(ref.blob, samples_per_cluster=30),
-        train=dataclasses.replace(ref.train, epochs=5), grid_resolution=12, stream_seeds=(0, 5, 9))
+        train=dataclasses.replace(ref.train, epochs=5), grid_resolution=12, stream_seeds=(0, 5, 8))
     out, want = tmp_path / "out", tmp_path / "want"
     run_experiment(cfg, str(out))
     want.mkdir()
@@ -193,7 +194,12 @@ def test_run_experiment_equals_a_per_seed_recomputation(tmp_path):
             _write_steps(str(want / f"steps_{arm}_{seed}.ndjson"), truths, preds)
         predict = ((lambda x: predict_frozen(first, *embed(first, x))) if arm == "art"
                    else lambda x: _argmax_labels(params, x))
-        save_grid(decision_grid(predict, bbox, cfg.grid_resolution), str(want / f"grid_{arm}.csv"))
+        grid = decision_grid(predict, bbox, cfg.grid_resolution)
+        save_grid(grid, str(want / f"grid_{arm}.csv"))
+        if arm == "art":  # these seeds' first and last streams leave states of different grids
+            last = decision_grid(lambda x: predict_frozen(state, *embed(state, x)), bbox,
+                                 cfg.grid_resolution)
+            assert not np.array_equal(last.labels, grid.labels)
     names = sorted(os.listdir(want))
     assert len(names) == len(cfg.arms) * (2 * len(cfg.stream_seeds) + 1)
     for name in names:
@@ -771,12 +777,64 @@ def test_cli_adapt_over_a_6000_row_bank(tmp_path, capsys):
     def fresh():
         return init_tur(load_bank(str(bank)), load_checkpoint(str(ckpt)), load_config(str(config)).tur)
     one = fresh()
+    _, centroids, _ = embed(one, np.stack([s.features for s in stream]))  # the bulk pass's rows
     for i, (record, sample) in enumerate(zip(records[:200], stream)):
         (p,) = run_stream(one, [sample])
         assert p == tuple(record[key] for key in ("pred", "route", "source_match", "target_match")), i
+        # the 1-D call's neighbourhood centroid, as bits: a block row with other neighbours differs
+        assert embed(one, sample.features)[1].tobytes() == centroids[i].tobytes(), i
     # one bulk call over those rows leaves the same prototype tables and step count
     bulk = fresh()
     run_stream(bulk, stream[:200])
     for name in ("target_prototypes", "followup_prototypes"):
         assert getattr(bulk, name).tobytes() == getattr(one, name).tobytes(), name
     assert bulk.step_count == one.step_count == 200
+
+
+@pytest.fixture(scope="module")
+def stages(tmp_path_factory):
+    """The stage-by-stage commands' inputs: gen-data on the default config
+    trained for 5 epochs, then `train --arm ugd`, in a tmp dir."""
+    root = tmp_path_factory.mktemp("stages")
+    config = root / "stages.json"
+    config.write_text(json.dumps({"train": {"epochs": 5}}))
+    data_dir, work = root / "data", root / "work"
+    assert main(["gen-data", "--config", str(config), "--outdir", str(data_dir)]) == 0
+    assert main(["train", "--config", str(config), "--arm", "ugd", "--outdir", str(work)]) == 0
+    (ckpt,) = work.glob("model_*.ckpt")
+    return {"config": config, "data": data_dir, "checkpoint": ckpt,
+            "bank": work / f"bank_{ckpt.stem[len('model_'):]}.csv"}
+
+
+def test_cli_train_writes_each_bank_row_with_the_bits_of_its_1d_forward(stages):
+    features, _ = data.read_labelled_csv(str(stages["data"] / "train.csv"))
+    rows = load_bank(str(stages["bank"])).embeddings
+    params = load_checkpoint(str(stages["checkpoint"]))
+    assert len(rows) == len(features) == 300
+    bad = [i for i, (x, z) in enumerate(zip(features, rows))
+           if forward(params, x).z.tobytes() != z.tobytes()]
+    assert not bad, f"{len(bad)} of {len(rows)} bank rows differ, the first at {bad[0]}"
+
+
+def test_cli_adapt_writes_a_format_5_snapshot_of_prototypes_only(stages, tmp_path):
+    snapshot, steps = tmp_path / "snapshot.json", tmp_path / "steps.ndjson"
+    assert main(["adapt", "--config", str(stages["config"]), "--checkpoint", str(stages["checkpoint"]),
+                 "--bank", str(stages["bank"]), "--test-csv", str(stages["data"] / "test_shifted.csv"),
+                 "--steps-out", str(steps), "--snapshot-out", str(snapshot)]) == 0
+    assert len(steps.read_text().splitlines()) == 400  # one line per test row
+    payload = json.loads(snapshot.read_text())
+    assert payload["format"] == 5
+    assert not {"memory_sum", "memory_count"} & payload.keys()
+    state = load_snapshot(str(snapshot), load_bank(str(stages["bank"])),
+                          load_checkpoint(str(stages["checkpoint"])))
+    assert state.step_count == 400
+
+
+def test_cli_grid_writes_a_header_and_one_line_per_lattice_point(stages, tmp_path):
+    grid_out = tmp_path / "grid.csv"
+    assert main(["grid", "--checkpoint", str(stages["checkpoint"]), "--xmin", "-10", "--xmax", "10",
+                 "--ymin", "-10", "--ymax", "10", "--resolution", "12",
+                 "--grid-out", str(grid_out)]) == 0
+    lines = grid_out.read_bytes().split(b"\r\n")
+    assert lines[0] == b"x,y,label"
+    assert lines[-1] == b"" and len(lines) - 1 == 12 * 12 + 1

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ostta import knn, numeric
 from ostta.knn import _top_k, build_index, query
 from ostta.numeric import l2_normalize
 from ostta.trainer import EmbeddingBank
@@ -209,3 +211,64 @@ def test_bank_layout_changes_no_id_and_no_centroid_bit(seed, distinct, size, dim
         c_hood, f_hood = query(c_index, q), query(f_index, q)
         assert np.array_equal(c_hood.indices, f_hood.indices)
         assert c_hood.centroid.tobytes() == f_hood.centroid.tobytes()
+
+
+def test_block_ranks_exactly_as_its_one_row_products():
+    # A block ranks by tiled matrix products and keeps a row's ranking only
+    # where its top k + 1 gaps exceed twice the rounding slack; any other row
+    # is ranked again from its one-row product. Banks with exact duplicates,
+    # rows one ulp apart and rows of norm up to 1e3 put gaps at and under the
+    # slack. The spy counts rows ranked each way over all draws, so that
+    # neither path passes unexercised.
+    seen = {"certified": 0, "fallback": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 120), dim=st.integers(2, 9),
+           rows=st.integers(0, 60), duplicates=st.booleans(), ulps=st.booleans(),
+           scaled=st.booleans(), budget=st.integers(1, 4000), data=st.data())
+    def draw(seed, size, dim, rows, duplicates, ulps, scaled, budget, data):
+        rng = np.random.default_rng(seed)
+        emb = l2_normalize(rng.normal(size=(size, dim)))
+        if scaled:  # a loaded bank's rows need not be unit norm
+            emb *= 10.0 ** rng.uniform(0.0, 3.0, size=(size, 1))
+        if duplicates:  # exact copies of a few rows
+            emb = emb[rng.integers(max(1, size // 4), size=size)]
+        if ulps:  # about half the rows one ulp from another row in one coordinate
+            for i in np.flatnonzero(rng.random(size) < 0.5):
+                emb[i] = emb[rng.integers(size)]
+                j = rng.integers(dim)
+                emb[i, j] = np.nextafter(emb[i, j], rng.choice([-np.inf, np.inf]))
+        bank = EmbeddingBank(emb, np.zeros(size, dtype=np.int64), l2_normalize(np.ones((1, dim))))
+        k = data.draw(st.one_of(st.sampled_from([1, size]), st.integers(1, size)))
+        z = l2_normalize(rng.normal(size=(rows, dim)))
+        on_bank = rng.random(rows) < 0.5  # queries on a bank row: its tie group at the top
+        if on_bank.any():
+            z[on_bank] = l2_normalize(emb[rng.integers(size, size=on_bank.sum())])
+        index = build_index(bank, k=k)
+        blocks = []  # per block, the rows of each _top_k call: the ranking's, then the fallback's
+        block_top_k = knn._block_top_k
+
+        def block_spy(*args):
+            blocks.append([])
+            return block_top_k(*args)
+
+        def top_k_spy(sims, k):
+            blocks[-1].append(len(sims))
+            return _top_k(sims, k)
+
+        with mock.patch.object(numeric, "_BLOCK_BUDGET", budget), \
+             mock.patch.object(knn, "_block_top_k", block_spy), \
+             mock.patch.object(knn, "_top_k", top_k_spy):
+            hood = query(index, z)
+        fallback = sum(sum(calls[1:]) for calls in blocks)
+        seen["fallback"] += fallback
+        seen["certified"] += rows - fallback
+        assert hood.indices.shape == (rows, k) and hood.centroid.shape == (rows, dim)
+        assert np.array_equal(hood.indices, _stable_top_k((z[:, None, :] @ index.columns)[:, 0], k))
+        for row, ids, centroid in zip(z, hood.indices, hood.centroid):
+            one = query(index, row)
+            assert np.array_equal(one.indices, ids)
+            assert one.centroid.tobytes() == centroid.tobytes()
+
+    draw()
+    assert seen["fallback"] > 0 and seen["certified"] > 0, seen
