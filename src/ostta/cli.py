@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from functools import partial
@@ -28,6 +27,8 @@ from .data import (
     ShiftSpec,
     apply_shift,
     atomic_open,
+    bounded,
+    check_fields,
     from_json,
     generate_blobs,
     load_csv,
@@ -57,16 +58,9 @@ ARMS = (*OBJECTIVES, "art")
 
 @dataclasses.dataclass(frozen=True)
 class ModelSpec:
-    embed_dim: int = 8
-    hidden: tuple[int, ...] = (64, 64)
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.embed_dim < 1:
-            raise ValueError(f"config.model.embed_dim={self.embed_dim} must be >= 1")
-        for i, width in enumerate(self.hidden):
-            if width < 1:
-                raise ValueError(f"config.model.hidden[{i}]={width} must be >= 1")
+    embed_dim: int = bounded(8, 1)
+    hidden: tuple[int, ...] = bounded((64, 64), 1)
+    seed: int = bounded(0, 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,26 +78,19 @@ class ExperimentConfig:
     model: ModelSpec = ModelSpec()
     train: TrainConfig = TrainConfig(loss=LossConfig(tau=8.0, lam=0.15))
     tur: TurConfig = TurConfig()
-    stream_seeds: tuple[int, ...] = (0,)
+    stream_seeds: tuple[int, ...] = bounded((0,), 0)
     arms: tuple[str, ...] = ARMS
-    grid_resolution: int = 80
-    grid_margin: float = 2.0
+    grid_resolution: int = bounded(80, 2)
+    grid_margin: float = bounded(2.0, 0)
 
     def validate(self) -> None:
-        self.blob.validate()
-        self.shift.validate()
-        self.model.validate()
-        self.train.validate()
-        self.tur.validate()
+        check_fields(self, "config")
+        self.blob.check_center_box()
         for arm in self.arms:
             if arm not in ARMS:
                 raise ValueError(f"unknown arm {arm!r}; valid arms: {ARMS}")
         if not self.stream_seeds:
             raise ValueError("need at least one stream seed")
-        if self.grid_resolution < 2:
-            raise ValueError(f"grid_resolution={self.grid_resolution} must be >= 2")
-        if not 0.0 <= self.grid_margin < math.inf:
-            raise ValueError(f"config.grid_margin={self.grid_margin} must be finite and >= 0")
         if self.shift.translation and len(self.shift.translation) != self.blob.dim:
             raise ValueError(f"config.shift.translation needs config.blob.dim={self.blob.dim} values")
         bank_size = self.blob.num_known * self.blob.samples_per_cluster
@@ -284,6 +271,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    if args.stream_seed < 0:
+        raise ValueError(f"--stream-seed={args.stream_seed} must be >= 0")
     cfg = load_config(args.config)
     params = load_checkpoint(args.checkpoint)
     bank = load_bank(args.bank)

@@ -11,7 +11,7 @@ import os
 import sys
 import typing
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -27,27 +27,51 @@ class Sample:
     label: int  # known index or UNKNOWN
 
 
+def bounded(default, low=-math.inf, high=math.inf, open_low: bool = False):
+    """A config field of this default whose value, or each value of a tuple,
+    must be finite, at least low (above it if open_low) and below high: the
+    rule `check_fields` enforces."""
+    return field(default=default, metadata={"bounds": (low, high, open_low)})
+
+
+def check_fields(config, path: str) -> None:
+    """Raise at the first bounded value of the config dataclass, or of a
+    config nested in it, that is not finite or not within its field's
+    bounds, naming its key, such as `config.train.loss.tau` or
+    `config.model.hidden[1]`."""
+    for f in fields(config):
+        value, key = getattr(config, f.name), f"{path}.{f.name}"
+        if is_dataclass(value):
+            check_fields(value, key)
+        elif "bounds" in f.metadata:
+            low, high, open_low = f.metadata["bounds"]
+            items = ([(f"{key}[{i}]", v) for i, v in enumerate(value)]
+                     if isinstance(value, tuple) else [(key, value)])
+            for name, v in items:
+                if not (isinstance(v, int) or math.isfinite(v)):
+                    raise ValueError(f"{name}={v} must be finite")
+                if v < low or open_low and v == low:
+                    raise ValueError(f"{name}={v} must be {'>' if open_low else '>='} {low}")
+                if v >= high:
+                    raise ValueError(f"{name}={v} must be < {high}")
+
+
 @dataclass(frozen=True)
 class BlobSpec:
-    num_known: int = 3
-    num_unknown_clusters: int = 1
-    dim: int = 2
-    samples_per_cluster: int = 100
-    cluster_std: float = 1.0
+    num_known: int = bounded(3, 2)
+    num_unknown_clusters: int = bounded(1, 1)
+    dim: int = bounded(2, 2)
+    samples_per_cluster: int = bounded(100, 1)
+    cluster_std: float = bounded(1.0, 0, open_low=True)
     center_box: tuple[float, float] = (-8.0, 8.0)
-    seed: int = 0
+    seed: int = bounded(0, 0)
 
     def validate(self) -> None:
-        if self.num_known < 2:
-            raise ValueError(f"config.blob.num_known={self.num_known} must be >= 2")
-        if self.num_unknown_clusters < 1:
-            raise ValueError(f"config.blob.num_unknown_clusters={self.num_unknown_clusters} must be >= 1")
-        if self.dim < 2:
-            raise ValueError(f"config.blob.dim={self.dim} must be >= 2")
-        if self.samples_per_cluster < 1:
-            raise ValueError(f"config.blob.samples_per_cluster={self.samples_per_cluster} must be >= 1")
-        if not 0.0 < self.cluster_std < math.inf:
-            raise ValueError(f"config.blob.cluster_std={self.cluster_std} must be finite and positive")
+        check_fields(self, "config.blob")
+        self.check_center_box()
+
+    def check_center_box(self) -> None:
+        """The rule that spans center_box's two ends: finite ends and width, low below high."""
         low, high = self.center_box
         if not math.isfinite(high - low):  # also a NaN or infinite end
             raise ValueError(f"config.blob.center_box={[low, high]} needs finite ends and width")
@@ -57,19 +81,13 @@ class BlobSpec:
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    rotation_angle: float = 0.0  # radians, first two dims only
-    translation: tuple[float, ...] = ()
-    noise_std: float = 0.0
-    seed: int = 0
+    rotation_angle: float = bounded(0.0)  # radians, first two dims only
+    translation: tuple[float, ...] = bounded(())
+    noise_std: float = bounded(0.0, 0)
+    seed: int = bounded(0, 0)
 
     def validate(self) -> None:
-        if not math.isfinite(self.rotation_angle):
-            raise ValueError(f"config.shift.rotation_angle={self.rotation_angle} must be finite")
-        for i, value in enumerate(self.translation):
-            if not math.isfinite(value):
-                raise ValueError(f"config.shift.translation[{i}]={value} must be finite")
-        if not 0.0 <= self.noise_std < math.inf:
-            raise ValueError(f"config.shift.noise_std={self.noise_std} must be finite and >= 0")
+        check_fields(self, "config.shift")
 
 
 def _place_centers(spec: BlobSpec, rng: np.random.Generator) -> np.ndarray:

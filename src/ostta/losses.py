@@ -13,19 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import bounded, check_fields
 from .numeric import softmax_lse
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    tau: float = 2.0       # softening temperature, > 1
-    lam: float = 0.05      # weight of the logit-norm penalty
+    tau: float = bounded(2.0, 0, open_low=True)  # softening temperature, > 1
+    lam: float = bounded(0.05, 0)  # weight of the logit-norm penalty
 
     def validate(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        check_fields(self, "config.train.loss")
 
 
 # The terms each objective trains, (UA on, SCE on). "ce" takes the SCE term

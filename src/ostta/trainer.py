@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Sample, read_labelled_csv, write_labelled_csv
+from .data import Sample, bounded, check_fields, read_labelled_csv, write_labelled_csv
 from .losses import LossConfig, LossWeights, check_labels, loss
 from .model import ModelParams, backward, forward, forward_rows
 from .numeric import l2_normalize
@@ -14,19 +14,15 @@ from .numeric import l2_normalize
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 16
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    shuffle_seed: int = 0
+    epochs: int = bounded(100, 0)
+    batch_size: int = bounded(16, 1)
+    learning_rate: float = bounded(0.01, 0)
+    momentum: float = bounded(0.9, 0, 1)
+    shuffle_seed: int = bounded(0, 0)
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self) -> None:
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate < 0:
-            raise ValueError("epochs/batch_size/learning_rate out of range")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.loss.validate()
+        check_fields(self, "config.train")
 
 
 @dataclass

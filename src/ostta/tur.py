@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import UNKNOWN, atomic_open, from_json, text_lines
+from .data import UNKNOWN, atomic_open, bounded, check_fields, from_json, text_lines
 from .knn import KnnIndex, build_index, query
 from .model import ModelParams, forward, forward_rows
 from .numeric import l2_normalize
@@ -38,14 +38,11 @@ SNAPSHOT_FORMAT = 5
 
 @dataclass(frozen=True)
 class TurConfig:
-    ema_weight: float = 0.3  # weight of the incoming embedding in the EMA
-    k: int = 10
+    ema_weight: float = bounded(0.3, 0, 1, open_low=True)  # the incoming embedding's EMA weight
+    k: int = bounded(10, 1)
 
     def validate(self) -> None:
-        if not 0.0 < self.ema_weight < 1.0:
-            raise ValueError("ema_weight must be in (0, 1)")
-        if self.k < 1:
-            raise ValueError(f"k={self.k} must be >= 1")
+        check_fields(self, "config.tur")
 
 
 @dataclass

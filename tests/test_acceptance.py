@@ -1,9 +1,9 @@
 """Acceptance suite.
 
 Each test prints an `ACCEPTANCE <id>: PASS/FAIL` line so the criteria can be
-audited from the test log directly. Criteria 3 and 6 and the artifact check
-share one reference experiment run (module-scoped fixture) so the expensive
-trainings happen once.
+audited from the test log directly. Criteria 3 and 6, the artifact check and
+the engine oracle's check share one reference experiment run (module-scoped
+fixture) so the expensive trainings happen once.
 
 `python tests/test_acceptance.py` reruns the reference experiment and rewrites
 the artifact fixture, for a change that moves answers on purpose.
@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ostta.cli import ExperimentConfig, run_experiment
+from engine_oracle import Oracle, replay
+from ostta.cli import ExperimentConfig, _checkpoint_hash, run_experiment
 from ostta.data import UNKNOWN_TOKEN, apply_shift, generate_blobs, make_stream
 from ostta.knn import build_index, query
 from ostta.losses import LossConfig, ce_loss, sce_loss, ua_loss, ugd_loss
 from ostta.metrics import h_score
-from ostta.model import backward, forward, init_model
+from ostta.model import backward, forward, init_model, load_checkpoint
 from ostta.numeric import l2_normalize
-from ostta.trainer import EmbeddingBank, extract_bank, train
+from ostta.trainer import EmbeddingBank, extract_bank, load_bank, train
 from ostta.tur import init_tur, run_stream
 
 
@@ -232,6 +233,26 @@ def test_criterion_5_knn_oracle():
         f"{mismatches}/100 queries disagree with a full stable sort (ids+order), "
         f"{elapsed:.2f}s (< 5s)",
     )
+
+
+def test_reference_art_steps_equal_an_independent_oracle(reference_run):
+    """Every step of the 4 art streams of the reference run, replayed by
+    `engine_oracle`: its label, route, source match and target match. No
+    step of these streams is a near tie."""
+    cfg, outdir, _, _ = reference_run
+    key = _checkpoint_hash(cfg, "ugd")  # art's model and bank are ugd's
+    params = load_checkpoint(str(outdir / f"model_{key}.ckpt"))
+    bank = load_bank(str(outdir / f"bank_{key}.csv"))
+    shifted = apply_shift(generate_blobs(cfg.blob)[1], cfg.shift)
+    for seed in cfg.stream_seeds:
+        stream = make_stream(shifted, seed)
+        oracle = Oracle(params, bank, cfg.tur.k, cfg.tur.ema_weight)
+        records = replay(oracle, [s.features for s in stream])
+        lines = (outdir / f"steps_art_{seed}.ndjson").read_text().splitlines()
+        steps = [(r["pred"], r["route"], r["source_match"], r["target_match"])
+                 for r in map(json.loads, lines)]
+        assert len(records) == len(steps) == len(stream), f"seed {seed}: near tie at {len(records)}"
+        assert records == steps, f"seed {seed}"
 
 
 # ------------------------------------------------------------------ criterion 6

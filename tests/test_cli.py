@@ -84,8 +84,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("payload, message", [
-    ({"grid_resolution": 1}, "grid_resolution=1 must be >= 2"),
-    ({"tur": {"k": 0}}, "k=0 must be >= 1"),
+    ({"grid_resolution": 1}, "config.grid_resolution=1 must be >= 2"),
+    ({"tur": {"k": 0}}, "config.tur.k=0 must be >= 1"),
     ({"tur": {"k": 301}}, "tur.k=301 exceeds the source bank's 300 rows"),
     ({"blob": {"samples_per_cluster": 3}}, "tur.k=10 exceeds the source bank's 9 rows"),
     ({"model": {"embed_dim": 0}}, "config.model.embed_dim=0 must be >= 1"),
@@ -382,6 +382,86 @@ def test_cli_names_the_key_of_a_non_finite_or_negative_value(tmp_path, capsys, c
     assert not outdir.exists()
 
 
+# one out-of-range value of each bounded config leaf, and the rule it breaks
+_OUT_OF_RANGE = [
+    ("blob.num_known", 1, ">= 2"),
+    ("blob.num_unknown_clusters", 0, ">= 1"),
+    ("blob.dim", 1, ">= 2"),
+    ("blob.samples_per_cluster", 0, ">= 1"),
+    ("blob.cluster_std", 0.0, "> 0"),
+    ("blob.seed", -1, ">= 0"),
+    ("shift.noise_std", -0.5, ">= 0"),
+    ("shift.seed", -1, ">= 0"),
+    ("model.embed_dim", 0, ">= 1"),
+    ("model.hidden[1]", 0, ">= 1"),
+    ("model.seed", -1, ">= 0"),
+    ("train.epochs", -1, ">= 0"),
+    ("train.batch_size", 0, ">= 1"),
+    ("train.learning_rate", -0.01, ">= 0"),
+    ("train.momentum", -0.1, ">= 0"),
+    ("train.momentum", 1.0, "< 1"),
+    ("train.shuffle_seed", -1, ">= 0"),
+    ("train.loss.tau", 0.0, "> 0"),
+    ("train.loss.lam", -0.1, ">= 0"),
+    ("tur.ema_weight", 0.0, "> 0"),
+    ("tur.ema_weight", 1.0, "< 1"),
+    ("tur.k", 0, ">= 1"),
+    ("stream_seeds[1]", -3, ">= 0"),
+    ("grid_resolution", 1, ">= 2"),
+    ("grid_margin", -1.0, ">= 0"),
+]
+# the float leaves, each refused as NaN, Infinity and -Infinity too
+_FLOAT_LEAVES = ["blob.cluster_std", "shift.rotation_angle", "shift.translation[1]",
+                 "shift.noise_std", "train.learning_rate", "train.momentum", "train.loss.tau",
+                 "train.loss.lam", "tur.ema_weight", "grid_margin"]
+
+
+def _leaf_payload(leaf, value):
+    """The config payload that sets one leaf, such as `model.hidden[1]`, to
+    value; a list keeps the default config's other entries."""
+    *sections, name = leaf.split(".")
+    name, _, index = name.rstrip("]").partition("[")
+    if index:
+        section = ExperimentConfig()
+        for part in sections:
+            section = getattr(section, part)
+        entries = list(getattr(section, name))
+        entries[int(index):int(index) + 1] = [value]
+        value = entries
+    for part in reversed([*sections, name]):
+        value = {part: value}
+    return value
+
+
+def test_the_bounded_value_cases_cover_every_bounded_leaf():
+    def bounded_leaves(config, path):
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from bounded_leaves(value, f"{path}{f.name}.")
+            elif "bounds" in f.metadata:
+                yield path + f.name
+
+    cases = {leaf.partition("[")[0] for leaf, _, _ in _OUT_OF_RANGE} | {
+        leaf.partition("[")[0] for leaf in _FLOAT_LEAVES}
+    assert set(bounded_leaves(ExperimentConfig(), "")) == cases
+
+
+@pytest.mark.parametrize("leaf, value, rule", [
+    *_OUT_OF_RANGE,
+    *[(leaf, value, "finite") for leaf in _FLOAT_LEAVES for value in (math.nan, math.inf, -math.inf)],
+])
+def test_cli_refuses_each_bounded_value_naming_its_key(tmp_path, capsys, leaf, value, rule):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_leaf_payload(leaf, value)))  # NaN as Python's json writes it
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == f"config.{leaf}={value} must be {rule}"
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("command, payload, key", [
     ("gen-data", {"shift": {"rotation_angle": 10**400}}, "config.shift.rotation_angle"),
     ("run", {"grid_margin": 10**400}, "config.grid_margin"),
@@ -619,6 +699,15 @@ def test_cli_adapt_names_the_key_and_the_bank_for_a_k_out_of_range(tmp_path, cap
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"config.tur.k={k} must be in [1, 15] for --bank {bank_path}"
     assert not steps.exists() and not snap.exists()
+
+
+def test_cli_adapt_refuses_a_negative_stream_seed_before_any_output(tmp_path, capsys):
+    paths = _adapt_inputs(tmp_path)
+    argv = _commands(paths, tmp_path)["--bank"]
+    snapshot = tmp_path / "snap.json"
+    assert main([*argv, "--snapshot-out", str(snapshot), "--stream-seed", "-1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "--stream-seed=-1 must be >= 0"
+    assert not snapshot.exists() and not (tmp_path / "out.ndjson").exists()
 
 
 any_int = st.integers(-(2**70), 2**70)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import math
 import re
 import warnings
 from unittest import mock
@@ -202,8 +203,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0).validate()
-    with pytest.raises(ValueError, match="tau must be positive"):
+    with pytest.raises(ValueError, match=r"^config\.train\.loss\.tau=0\.0 must be > 0$"):
         TrainConfig(loss=LossConfig(tau=0.0)).validate()
+    with pytest.raises(ValueError, match=r"^config\.train\.learning_rate=nan must be finite$"):
+        TrainConfig(learning_rate=math.nan).validate()
 
 
 def test_train_diverging_raises():

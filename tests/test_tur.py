@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_oracle import Oracle, replay
 from ostta import numeric
 from ostta.cli import ExperimentConfig
 from ostta.data import UNKNOWN, BlobSpec, Sample, apply_shift, generate_blobs, make_stream
@@ -421,6 +422,43 @@ def test_prototypes_stay_unit_and_labels_valid_after_any_stream(seed, n, scale, 
     assert {p.label for p in preds} <= valid
     x = np.stack([s.features for s in stream])
     assert set(predict_frozen(state, *embed(state, x)).tolist()) <= valid
+
+
+def test_engine_equals_an_independent_oracle_on_drawn_streams():
+    # labels, routes and matches equal, and both tables within 1e-12, over
+    # each draw's stream up to its first near tie; at most a tenth of the
+    # draws may be cut short, so near ties cannot hide a defect. Each class
+    # has two rows or more: with one, the centroid of two rows is exactly
+    # as near to both their prototypes
+    cut, routes = [], []
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_known=st.integers(2, 5), dim=st.integers(2, 6),
+           per_class=st.integers(2, 12), ema_weight=st.floats(0.01, 0.99),
+           length=st.integers(1, 40), data=st.data())
+    def check(seed, num_known, dim, per_class, ema_weight, length, data):
+        rng = np.random.default_rng(seed)
+        params = init_model(2, dim, num_known, seed, hidden=(8,))
+        labels = np.repeat(np.arange(num_known), per_class)
+        centers = rng.normal(size=(num_known, dim))
+        rows = l2_normalize(centers[labels] + 0.5 * rng.normal(size=(len(labels), dim)))
+        bank = EmbeddingBank.from_rows(rows, labels, num_known)
+        k = data.draw(st.integers(1, len(bank)), label="k")
+        xs = rng.normal(scale=3.0, size=(length, 2))
+        oracle = Oracle(params, bank, k, ema_weight)
+        records = replay(oracle, xs)  # its tables are those after the records
+        state = init_tur(bank, params, TurConfig(ema_weight=ema_weight, k=k))
+        preds = run_stream(state, [Sample(x, UNKNOWN) for x in xs[: len(records)]])
+        assert [tuple(p) for p in preds] == records
+        for table in ("target", "followup"):
+            np.testing.assert_allclose(getattr(state, f"{table}_prototypes"),
+                                       getattr(oracle, table), rtol=0, atol=1e-12)
+        cut.append(len(records) < length)
+        routes.extend(route for _, route, _, _ in records)
+
+    check()
+    assert sum(cut) <= len(cut) / 10, f"{sum(cut)} of {len(cut)} draws cut at a near tie"
+    assert {"agreed", "followup"} <= set(routes)
 
 
 @pytest.mark.parametrize("spoil, match", [
