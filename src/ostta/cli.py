@@ -5,8 +5,11 @@ Artifacts land in the output directory as:
   report_<arm>_<seed>.json   evaluation report per arm and stream order
   grid_<arm>.csv             decision-boundary lattice per arm
   steps_<arm>_<seed>.ndjson  per-step diagnostics
-  model_<hash>.ckpt          cached checkpoint, keyed by config hash
-  bank_<hash>.csv            cached source embedding bank, one file
+  model_<hash>.ckpt          checkpoint, named by a hash of its configs and objective
+  bank_<hash>.csv            source embedding bank of that checkpoint, one file
+
+A run reads nothing from its output directory: it trains every objective it
+needs, and writes nothing unless all of them train.
 """
 from __future__ import annotations
 
@@ -134,32 +137,26 @@ def _argmax_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _head_labels(forward_rows(params, x)[1], params.num_known)
 
 
-def _train_cached(cfg: ExperimentConfig, arms, train_set, outdir: str) -> dict:
-    """(params, bank) per arm. Every distinct objective whose checkpoint or
-    bank is missing from outdir is trained in one lockstep `train_many` call
-    and then cached; the others load from the cache. Nothing is written
-    unless every missing objective trains."""
-    objectives = {arm: _objective(arm) for arm in arms}
-    keys = {arm: _checkpoint_hash(cfg, objective) for arm, objective in objectives.items()}
-    ckpts = {key: os.path.join(outdir, f"model_{key}.ckpt") for key in keys.values()}
-    banks = {key: os.path.join(outdir, f"bank_{key}.csv") for key in keys.values()}
-    missing = {key: objectives[arm] for arm, key in keys.items()
-               if not (os.path.exists(ckpts[key]) and os.path.exists(banks[key]))}
-    models = {}
-    if missing:
-        params = init_model(
-            cfg.blob.dim, cfg.model.embed_dim, cfg.blob.num_known,
-            cfg.model.seed, hidden=cfg.model.hidden,
-        )
-        trained = train_many(params, train_set, cfg.train, list(missing.values()))
-        for key, (params, _history) in zip(missing, trained):
-            models[key] = params, extract_bank(params, train_set)
-        for key, (params, bank) in models.items():
-            save_checkpoint(params, ckpts[key])
-            save_bank(bank, banks[key])
-    for key in ckpts.keys() - models.keys():
-        models[key] = load_checkpoint(ckpts[key]), load_bank(banks[key])
-    return {arm: models[key] for arm, key in keys.items()}
+def _train(cfg: ExperimentConfig, arms, train_set) -> dict:
+    """(params, bank) per arm: every distinct objective trains in one lockstep
+    `train_many` call (art takes ugd's model), then gives its bank."""
+    objectives = list(dict.fromkeys(_objective(arm) for arm in arms))
+    initial = init_model(cfg.blob.dim, cfg.model.embed_dim, cfg.blob.num_known,
+                         cfg.model.seed, hidden=cfg.model.hidden)
+    trained = train_many(initial, train_set, cfg.train, objectives)
+    models = {objective: (params, extract_bank(params, train_set))
+              for objective, (params, _history) in zip(objectives, trained)}
+    return {arm: models[_objective(arm)] for arm in arms}
+
+
+def _save_models(cfg: ExperimentConfig, models: dict, outdir: str) -> None:
+    """Make outdir, then write each distinct checkpoint and bank of `_train`'s
+    models once, as model_<hash>.ckpt and bank_<hash>.csv."""
+    os.makedirs(outdir, exist_ok=True)
+    for objective, (params, bank) in {_objective(arm): m for arm, m in models.items()}.items():
+        key = _checkpoint_hash(cfg, objective)
+        save_checkpoint(params, os.path.join(outdir, f"model_{key}.ckpt"))
+        save_bank(bank, os.path.join(outdir, f"bank_{key}.csv"))
 
 
 def _grid_bbox(samples: list[Sample], margin: float):
@@ -193,11 +190,12 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
     art's prototypes changes along a stream. So each distinct checkpoint
     embeds the test rows, then the lattice rows, in one `forward_rows` call,
     art matches them against its bank in one pass, and each stream order
-    indexes those rows: every row has the bits of its own 1-D call anyway."""
+    indexes those rows: every row has the bits of its own 1-D call anyway.
+    Inputs and training come before the output directory is made, so a run
+    that fails there writes nothing."""
     cfg.validate()
     if os.path.isdir(outdir) and os.listdir(outdir) and not force:
         raise FileExistsError(f"output dir {outdir!r} is not empty (use --force)")
-    os.makedirs(outdir, exist_ok=True)
 
     train_set, test_set = generate_blobs(cfg.blob)
     shifted_test = apply_shift(test_set, cfg.shift)
@@ -210,9 +208,10 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, force: bool = False) -> d
         rows = np.concatenate([rows, lattice(bbox, cfg.grid_resolution)[2]])
     reports: dict[tuple[str, int], object] = {}
 
-    models = _train_cached(cfg, cfg.arms, train_set, outdir)
+    models = _train(cfg, cfg.arms, train_set)
     checkpoints = {_objective(arm): models[arm][0] for arm in cfg.arms}  # art shares ugd's
     forwards = {objective: forward_rows(params, rows) for objective, params in checkpoints.items()}
+    _save_models(cfg, models, outdir)
     for arm in cfg.arms:
         params, bank = models[arm]
         z, logits = forwards[_objective(arm)]
@@ -263,10 +262,10 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     cfg.validate()
-    os.makedirs(args.outdir, exist_ok=True)
     train_set, _ = generate_blobs(cfg.blob)
-    _train_cached(cfg, [args.arm], train_set, args.outdir)
-    print(f"trained arm {args.arm}; checkpoint and bank cached in {args.outdir}")
+    models = _train(cfg, [args.arm], train_set)
+    _save_models(cfg, models, args.outdir)
+    print(f"trained arm {args.arm}; checkpoint and bank written to {args.outdir}")
     return 0
 
 
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True)
     p.set_defaults(fn=_cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one arm and cache checkpoint+bank")
+    p = sub.add_parser("train", help="train one arm and write its checkpoint and bank")
     add_config(p)
     p.add_argument("--arm", default="ugd", choices=ARMS)
     p.add_argument("--outdir", required=True)
@@ -420,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

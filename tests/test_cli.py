@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from ostta.cli import (
     _argmax_labels,
     _checkpoint_hash,
     _grid_bbox,
-    _train_cached,
+    _train,
     _write_steps,
     config_from_dict,
     load_config,
@@ -111,7 +112,7 @@ def test_cli_train_rejects_a_bad_model_before_any_work(tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_arm_train_configs(tmp_path, monkeypatch):
+def test_arm_train_configs(monkeypatch):
     # every arm trains the objective of its own name, but art, which takes ugd's model
     from ostta import cli
 
@@ -126,7 +127,7 @@ def test_arm_train_configs(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "train_many", recording)
     cfg = _small_config()
     arms = ("art", "ce", "ugd_no_sce", "ugd", "ugd_no_ua")
-    models = _train_cached(cfg, arms, generate_blobs(cfg.blob)[0], str(tmp_path))
+    models = _train(cfg, arms, generate_blobs(cfg.blob)[0])
     assert trained == [(cfg.train, ["ugd", "ce", "ugd_no_sce", "ugd_no_ua"])]
     assert models["art"] is models["ugd"]
     assert len({id(m) for m in models.values()}) == 4
@@ -176,9 +177,10 @@ def test_run_experiment_equals_a_per_seed_recomputation(tmp_path):
     train_set, test_set = generate_blobs(cfg.blob)
     shifted = apply_shift(test_set, cfg.shift)
     bbox = _grid_bbox(train_set + shifted, cfg.grid_margin)
-    models = _train_cached(cfg, cfg.arms, train_set, str(out))  # loads the run's checkpoints
-    for arm in cfg.arms:
-        params, bank = models[arm]
+    for arm in cfg.arms:  # the run's own checkpoint and bank, art's being ugd's
+        key = _checkpoint_hash(cfg, "ugd" if arm == "art" else arm)
+        params, bank = (load_checkpoint(str(out / f"model_{key}.ckpt")),
+                        load_bank(str(out / f"bank_{key}.csv")))
         first = None
         for seed in cfg.stream_seeds:
             stream = make_stream(shifted, seed)
@@ -225,26 +227,24 @@ def test_run_experiment_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_run_experiment_reuses_cache(tmp_path):
-    cfg = _small_config(arms=("ugd",))
-    outdir = tmp_path / "out"
-    run_experiment(cfg, str(outdir))
-    ckpts = [n for n in os.listdir(outdir) if n.endswith(".ckpt")]
-    assert len(ckpts) == 1
-    stamp = os.path.getmtime(outdir / ckpts[0])
-    run_experiment(cfg, str(outdir), force=True)
-    assert os.path.getmtime(outdir / ckpts[0]) == stamp
-
-
-def test_run_experiment_retrains_when_bank_missing(tmp_path):
-    cfg = _small_config(arms=("ugd",))
-    outdir = tmp_path / "out"
-    run_experiment(cfg, str(outdir))
-    bank = next(n for n in os.listdir(outdir) if n.startswith("bank_"))
-    before = (outdir / bank).read_bytes()
-    os.remove(outdir / bank)
-    run_experiment(cfg, str(outdir), force=True)
-    assert (outdir / bank).read_bytes() == before
+def test_run_experiment_over_a_stale_outdir_writes_a_fresh_runs_bytes(tmp_path):
+    # a run reads nothing from its outdir: neither ce's checkpoint and bank
+    # planted under ugd's names nor a deleted bank changes a byte it writes
+    cfg = _small_config(arms=("ce", "ugd", "art"))
+    fresh, planted, deleted = tmp_path / "fresh", tmp_path / "planted", tmp_path / "deleted"
+    run_experiment(cfg, str(fresh))
+    names = sorted(os.listdir(fresh))
+    ce, ugd = _checkpoint_hash(cfg, "ce"), _checkpoint_hash(cfg, "ugd")
+    planted.mkdir()
+    for name in ("model_{}.ckpt", "bank_{}.csv"):
+        shutil.copyfile(fresh / name.format(ce), planted / name.format(ugd))
+    shutil.copytree(fresh, deleted)
+    os.remove(deleted / f"bank_{ugd}.csv")
+    for stale in (planted, deleted):
+        run_experiment(cfg, str(stale), force=True)
+        assert sorted(os.listdir(stale)) == names
+        for name in names:
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes(), (stale.name, name)
 
 
 def test_cli_end_to_end_pipeline(tmp_path):
@@ -511,7 +511,7 @@ def test_run_experiment_trains_missing_configs_in_one_call(tmp_path, monkeypatch
     ce = _checkpoint_hash(_small_config(), "ce")
     os.remove(outdir / f"bank_{ce}.csv")
     again = run_experiment(_small_config(arms=ARMS), str(outdir), force=True)
-    assert calls[1:] == [["ce"]]
+    assert calls[1:] == calls[:1]  # the outdir's files are not read: all four train again
     assert {k: r.to_dict() for k, r in again.items()} == {k: r.to_dict() for k, r in reports.items()}
 
 
@@ -525,7 +525,28 @@ def test_run_experiment_writes_no_cache_when_a_slice_diverges(tmp_path, capsys):
     assert main(["run", "--config", str(config_path), "--outdir", str(outdir)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert "diverged" in error and "objective 'ugd'" in error and "'ce'" not in error
-    assert os.listdir(outdir) == []
+    assert not outdir.exists()
+
+
+# 10**15 sizes an array of 1 PiB or more, past any address space, so numpy
+# refuses it outright; 10**22 is past numpy's own limits on a shape
+@pytest.mark.parametrize("size", [10**15, 10**22])
+@pytest.mark.parametrize("command, leaf", [
+    ("run", "blob.samples_per_cluster"), ("run", "grid_resolution"), ("run", "model.hidden[0]"),
+    ("run", "model.embed_dim"), ("train", "blob.samples_per_cluster"),
+    ("train", "model.hidden[0]"), ("train", "model.embed_dim"),
+])
+def test_cli_reports_a_size_numpy_cannot_allocate_before_any_output(tmp_path, capfd, command,
+                                                                     leaf, size):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_leaf_payload(leaf, size)))
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--outdir", str(outdir)]) == 1
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error.startswith("Unable to allocate " if size == 10**15 else "Maximum allowed "), error
+    assert not outdir.exists()
 
 
 def test_cli_eval_rejects_label_outside_the_classes(tmp_path, capsys):
@@ -818,6 +839,22 @@ def test_cli_reports_a_directory_given_as_a_file(tmp_path, capfd, flag):
     assert json.loads(err)["error"] == f"[Errno 21] Is a directory: {directory!r}"
     assert sorted(os.listdir(tmp_path)) == sorted([*map(os.path.basename, paths.values()),
                                                    "a-directory"])  # no new file
+
+
+@pytest.mark.parametrize("flag, artifact", [
+    ("--checkpoint", "bank.csv"), ("--bank", "model.ckpt"), ("--test-csv", "model.ckpt"),
+    ("--config", "model.ckpt"), ("--steps", "model.ckpt"), ("--config", "steps.ndjson"),
+    ("--test-csv", "bank.csv"),
+])
+def test_cli_names_another_kind_of_artifact_given_as_a_file(tmp_path, capfd, flag, artifact):
+    paths = _adapt_inputs(tmp_path)
+    argv = _commands(paths, tmp_path)[flag]
+    argv[argv.index(flag) + 1] = paths[artifact]
+    assert main(argv) == 1
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert paths[artifact] in json.loads(err)["error"]
+    assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths.values()))  # no new file
 
 
 @pytest.mark.parametrize("flag", ["--test-csv", "--steps"])
